@@ -4,7 +4,6 @@ thresholding baseline and a reproducible benchmark harness."""
 
 from .core import (
     GroundTruth,
-    SvdFactors,
     generate_ground_truth,
     hard_threshold_rows,
     project_tangent,
@@ -46,7 +45,7 @@ from .weights import (
     build_weight,
     identity_weight,
 )
-from .wls import WlsSolution, dense_oracle_solve, solve_wls
+from .wls import WlsSolution, solve_wls
 from .irls import (
     IrlsConfig,
     IterateTrace,

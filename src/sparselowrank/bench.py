@@ -17,13 +17,13 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .core import generate_ground_truth, rel_frobenius_error
 from .iht import IhtConfig, run_iht
-from .irls import IrlsConfig, fit_quadratic_rate, run_irls
+from .irls import IrlsConfig, IterateTrace, _fmt, fit_quadratic_rate, run_irls
 from .measurement import OPERATOR_FACTORIES
 
 __all__ = [
@@ -72,7 +72,6 @@ class ExperimentManifest:
     irls_max_iter: int = 250
     iht_max_iter: int = 2000
     tol: float = 1e-10
-    wls_method: str = "direct"
     trace_objective: bool = True
     deterministic_output: bool = False
 
@@ -158,25 +157,28 @@ def _build_instance(manifest: ExperimentManifest, s, m, t):
     return gt, op, op.apply(gt.X)
 
 
-def _run_trial(manifest_dict: dict, alg: str, s: int, m: int, t: int) -> dict:
-    """One (algorithm, cell, trial) run; never raises, failures用 recorded."""
-    manifest = ExperimentManifest.from_dict(manifest_dict)
+def _solver_config(manifest: ExperimentManifest, alg: str, s: int):
+    """Solver configuration for one algorithm at row sparsity s."""
+    r_t, s_t = manifest.model_orders(s)
+    if alg == "irls":
+        return IrlsConfig(
+            r_tilde=r_t, s_tilde=s_t, max_iter=manifest.irls_max_iter,
+            tol_rel_change=manifest.tol, trace_objective=manifest.trace_objective,
+        )
+    return IhtConfig(r=r_t, s=s_t, max_iter=manifest.iht_max_iter, tol=manifest.tol)
+
+
+def _solve(alg: str, op, y, cfg, gt):
+    solver = run_irls if alg == "irls" else run_iht
+    return solver(op, y, cfg, ground_truth=gt)
+
+
+def _run_trial(manifest: ExperimentManifest, alg: str, s: int, m: int, t: int) -> dict:
+    """One (algorithm, cell, trial) run; never raises, failures are recorded."""
     t0 = time.perf_counter()
     try:
         gt, op, y = _build_instance(manifest, s, m, t)
-        r_t, s_t = manifest.model_orders(s)
-        if alg == "irls":
-            cfg = IrlsConfig(
-                r_tilde=r_t, s_tilde=s_t, max_iter=manifest.irls_max_iter,
-                tol_rel_change=manifest.tol, wls_method=manifest.wls_method,
-                trace_objective=manifest.trace_objective,
-            )
-            result = run_irls(op, y, cfg, ground_truth=gt)
-        else:
-            cfg = IhtConfig(
-                r=r_t, s=s_t, max_iter=manifest.iht_max_iter, tol=manifest.tol,
-            )
-            result = run_iht(op, y, cfg, ground_truth=gt)
+        result = _solve(alg, op, y, _solver_config(manifest, alg, s), gt)
         err = rel_frobenius_error(result.X, gt.X)
         return {
             "alg": alg, "s": s, "m": m, "trial": t,
@@ -195,22 +197,17 @@ def _run_trial(manifest_dict: dict, alg: str, s: int, m: int, t: int) -> dict:
 
 
 def _run_tasks(manifest: ExperimentManifest, tasks: list) -> list:
-    mdict = asdict(manifest)
     if manifest.threads > 1:
         with ProcessPoolExecutor(max_workers=manifest.threads) as pool:
-            records = list(pool.map(_trial_worker, [(mdict, *t) for t in tasks]))
+            records = list(pool.map(_trial_worker, [(manifest, *t) for t in tasks]))
     else:
-        records = [_run_trial(mdict, *t) for t in tasks]
+        records = [_run_trial(manifest, *t) for t in tasks]
     records.sort(key=lambda rec: (rec["alg"], rec["s"], rec["m"], rec["trial"]))
     return records
 
 
 def _trial_worker(packed):
     return _run_trial(*packed)
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
 
 
 def _write_manifest_echo(manifest: ExperimentManifest):
@@ -300,19 +297,10 @@ def run_convergence(manifest: ExperimentManifest):
         fits = []
         for t in range(manifest.trials):
             gt, op, y = _build_instance(manifest, s, m, t)
-            r_t, s_t = manifest.model_orders(s)
-            if alg == "irls":
-                cfg = IrlsConfig(
-                    r_tilde=r_t, s_tilde=s_t, max_iter=manifest.irls_max_iter,
-                    tol_rel_change=manifest.tol, wls_method=manifest.wls_method,
-                )
-                result = run_irls(op, y, cfg, ground_truth=gt)
-            else:
-                cfg = IhtConfig(r=r_t, s=s_t, max_iter=manifest.iht_max_iter,
-                                tol=manifest.tol)
-                result = run_iht(op, y, cfg, ground_truth=gt)
+            result = _solve(alg, op, y, _solver_config(manifest, alg, s), gt)
             if manifest.deterministic_output:
-                result = _zero_trace_time(result)
+                recs = [replace(r, wall_time_s=0.0) for r in result.trace.records]
+                result = replace(result, trace=IterateTrace(recs))
             path = os.path.join(manifest.out_dir, f"trace_{alg}_t{t:03d}.csv")
             result.trace.write_csv(path)
             errors = result.trace.errors()
@@ -349,16 +337,6 @@ def _linear_slope(errors) -> float | None:
     return float(coeffs[0])
 
 
-def _zero_trace_time(result):
-    from dataclasses import replace
-    recs = [replace(r, wall_time_s=0.0) for r in result.trace.records]
-    trace = type(result.trace)(records=recs)
-    return type(result)(
-        X=result.X, iterations=result.iterations,
-        termination=result.termination, trace=trace, algorithm=result.algorithm,
-    )
-
-
 def run_objective_evolution(manifest: ExperimentManifest):
     """Objective decomposition along reweighted runs on one (s, m) instance
     per trial: CSV of iteration, sqrt of each objective part, and error."""
@@ -367,12 +345,7 @@ def run_objective_evolution(manifest: ExperimentManifest):
     outputs = []
     for t in range(manifest.trials):
         gt, op, y = _build_instance(manifest, s, m, t)
-        r_t, s_t = manifest.model_orders(s)
-        cfg = IrlsConfig(
-            r_tilde=r_t, s_tilde=s_t, max_iter=manifest.irls_max_iter,
-            tol_rel_change=manifest.tol, wls_method=manifest.wls_method,
-            trace_objective=True,
-        )
+        cfg = replace(_solver_config(manifest, "irls", s), trace_objective=True)
         result = run_irls(op, y, cfg, ground_truth=gt)
         path = os.path.join(manifest.out_dir, f"objective_t{t:03d}.csv")
         with open(path, "w", newline="") as fh:

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "GroundTruth",
-    "SvdFactors",
     "generate_ground_truth",
     "rho",
     "row_norms",
@@ -40,33 +39,6 @@ def as_matrix(X) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise ValueError("matrix contains non-finite entries")
     return X
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """Truncated SVD triplet (U, sigma, V) with orthonormal columns.
-
-    ``sigma`` is nonincreasing and nonnegative; ``U`` is n1 x k, ``V`` is
-    n2 x k, and ``X = U @ diag(sigma) @ V.T`` up to the truncation rank k.
-    """
-
-    U: np.ndarray
-    sigma: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self):
-        k = self.sigma.shape[0]
-        if self.U.shape[1] != k or self.V.shape[1] != k:
-            raise InvalidDimensionError("factor widths disagree with sigma length")
-        for M in (self.U, self.V):
-            if k and np.max(np.abs(M.T @ M - np.eye(k))) > 1e-10:
-                raise ValueError("factor columns are not orthonormal")
-        if np.any(self.sigma < 0) or np.any(np.diff(self.sigma) > 0):
-            raise ValueError("sigma must be nonincreasing and nonnegative")
-
-    @property
-    def rank(self) -> int:
-        return self.sigma.shape[0]
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def run_iht(
 ) -> RecoveryResult:
     n1, n2 = op.dims
     config.validate(n1, n2)
-    y = np.asarray(y, dtype=float)
+    y = op.check_data(y)
     X_ref = ground_truth.X if isinstance(ground_truth, GroundTruth) else ground_truth
 
     X = _project_model_set(op.adjoint(y), config.r, config.s)

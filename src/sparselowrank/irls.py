@@ -52,12 +52,9 @@ class IrlsConfig:
     s_tilde: int
     max_iter: int = 250
     tol_rel_change: float = 1e-10
-    wls_tol: float = 1e-12
-    wls_method: str = "direct"
     eps_floor: float = 1e-14
     delta_floor: float = 1e-14
     trace_objective: bool = True
-    warm_start: bool = False    # reuse the dual iterate across CG solves
     keep_iterates: bool = False  # retain every iterate on the result (diagnostics)
 
     def validate(self, n1: int, n2: int):
@@ -144,8 +141,8 @@ class IterateTrace:
         return buf.getvalue()
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _fmt(x) -> str:
+    return f"{float(x):.17g}"
 
 
 @dataclass(frozen=True)
@@ -203,7 +200,7 @@ def run_irls(
     parameters sit at their floors."""
     n1, n2 = op.dims
     config.validate(n1, n2)
-    y = np.asarray(y, dtype=float)
+    y = op.check_data(y)
     X_ref = ground_truth.X if isinstance(ground_truth, GroundTruth) else ground_truth
 
     ws = identity_weight(n1, n2)
@@ -212,15 +209,11 @@ def run_irls(
     trace = IterateTrace()
     termination = "max_iter"
     t0 = time.perf_counter()
-    lam_prev = None
     iterates = [] if config.keep_iterates else None
 
     for k in range(1, config.max_iter + 1):
         try:
-            sol = solve_wls(
-                op, y, ws, tol=config.wls_tol, method=config.wls_method,
-                lam0=lam_prev if config.warm_start else None,
-            )
+            sol = solve_wls(op, y, ws)
         except Exception as exc:
             raise RuntimeError(f"WLS solve failed at iteration {k}") from exc
         if sol.constraint_residual > 1e-6:
@@ -228,7 +221,6 @@ def run_irls(
                 f"WLS solve lost feasibility at iteration {k} "
                 f"(residual {sol.constraint_residual:.3e})"
             )
-        lam_prev = sol.lam
         X_new = sol.X
         if X is None:
             rel_change = math.inf

@@ -71,6 +71,16 @@ class MeasurementOperator:
             raise ValueError(f"expected vector of length {self.m}, got {w.shape}")
         return self._adjoint(w)
 
+    def check_data(self, y) -> np.ndarray:
+        """Return the data ``y`` as a float vector, rejecting anything but a
+        finite vector of length m."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.m,):
+            raise ValueError(f"data y must be a vector of length {self.m}, got shape {y.shape}")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("data y contains non-finite entries")
+        return y
+
     def as_matrix(self, budget: int = MATERIALIZE_BUDGET) -> np.ndarray:
         """Dense m x (n1 n2) representation (cached; row-major flattening)."""
         if self._matrix is None:
@@ -91,16 +101,6 @@ class MeasurementOperator:
             out[:, j] = self._apply(E)
             E.flat[j] = 0.0
         return out
-
-    def descriptor(self) -> dict:
-        """Serializable ensemble description for run manifests."""
-        return {
-            "kind": self.kind,
-            "n1": self.n1,
-            "n2": self.n2,
-            "m": self.m,
-            "seed": self.seed,
-        }
 
     def _apply(self, X):
         raise NotImplementedError

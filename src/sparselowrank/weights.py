@@ -8,9 +8,7 @@ are never materialized. The inverse is available in closed form through a
 Sherman-Morrison-Woodbury factorization that splits the operator into
 ``(spectral part + Id)`` (invertible entry-wise in the singular bases) plus a
 row-diagonal correction supported on the s_k heavy rows; the small SMW system
-has size s_k * n2 and is factored once per state. A preconditioned
-conjugate-gradient fallback under the same residual contract is kept as the
-reference method.
+has size s_k * n2 and is factored once per state.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .core import SvdFactors, as_matrix, row_norms
+from .core import as_matrix, row_norms
 
 __all__ = [
     "WeightState",
@@ -40,7 +38,8 @@ _EPS_TIE_RTOL = 1e-12
 
 
 class IterationLimitError(RuntimeError):
-    """Iterative solve exhausted its budget; carries the residual achieved."""
+    """An inverse application missed its residual target; carries the
+    residual achieved."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
@@ -82,11 +81,6 @@ class WeightState:
                 raise ValueError("singular vector blocks are not orthonormal")
 
     # -- derived quantities ------------------------------------------------
-
-    @property
-    def factors(self) -> SvdFactors:
-        """Retained leading singular triplets as a validated factor object."""
-        return SvdFactors(U=self.U, sigma=self.sigma, V=self.V)
 
     @cached_property
     def d(self) -> np.ndarray:
@@ -256,31 +250,11 @@ def _smw_correction(ws: WeightState, Z0: np.ndarray) -> np.ndarray:
     return Z0 + apply_b2_inv(ws, E_mu)
 
 
-def _jacobi_diagonal(ws: WeightState) -> np.ndarray:
-    # entry-wise diagonal of W: L_ii R_ll + w_i (the separable row-scaling
-    # plus diagonal spectral scaling used as the CG preconditioner)
-    if ws.r_k:
-        shift = ws.d - 1.0
-        l_diag = 1.0 + np.sum(shift * ws.U**2, axis=1)
-        r_diag = 1.0 + np.sum(shift * ws.V**2, axis=1)
-    else:
-        l_diag = np.ones(ws.n1)
-        r_diag = np.ones(ws.n2)
-    return np.outer(l_diag, r_diag) + ws.sp_diag[:, None]
-
-
-def apply_w_inv(
-    ws: WeightState,
-    Z: np.ndarray,
-    tol: float = 1e-12,
-    method: str = "smw",
-) -> np.ndarray:
+def apply_w_inv(ws: WeightState, Z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Apply the inverse weight operator so that |W(W^{-1}Z) - Z|_F <= tol |Z|_F.
 
-    method="smw" (default) uses the closed-form factorization; method="cg"
-    runs preconditioned conjugate gradients in matrix space with the
-    separable diagonal preconditioner and iteration cap 10 (n1 + n2),
-    raising ``IterationLimitError`` on exhaustion.
+    Uses the closed-form SMW factorization and raises ``IterationLimitError``
+    when the round-trip residual misses the target.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -291,35 +265,8 @@ def apply_w_inv(
     if z_norm == 0.0:
         return np.zeros_like(Z)
 
-    if method == "smw":
-        out = _smw_correction(ws, apply_b2_inv(ws, Z))
-        res = np.linalg.norm(apply_w(ws, out) - Z) / z_norm
-        if res > tol:
-            raise IterationLimitError("SMW inverse missed the residual target", res)
-        return out
-    if method != "cg":
-        raise ValueError(f"unknown method {method!r}")
-
-    precond = 1.0 / _jacobi_diagonal(ws)
-    X = np.zeros_like(Z)
-    R = Z.copy()
-    Y = precond * R
-    P = Y.copy()
-    rz = float(np.sum(R * Y))
-    cap = 10 * (ws.n1 + ws.n2)
-    for _ in range(cap):
-        res = np.linalg.norm(R) / z_norm
-        if res <= tol:
-            return X
-        WP = apply_w(ws, P)
-        alpha = rz / float(np.sum(P * WP))
-        X += alpha * P
-        R -= alpha * WP
-        Y = precond * R
-        rz_new = float(np.sum(R * Y))
-        P = Y + (rz_new / rz) * P
-        rz = rz_new
-    res = np.linalg.norm(R) / z_norm
-    if res <= tol:
-        return X
-    raise IterationLimitError("CG inverse exhausted its iteration cap", res)
+    out = _smw_correction(ws, apply_b2_inv(ws, Z))
+    res = np.linalg.norm(apply_w(ws, out) - Z) / z_norm
+    if res > tol:
+        raise IterationLimitError("SMW inverse missed the residual target", res)
+    return out

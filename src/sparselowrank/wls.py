@@ -5,18 +5,11 @@ The minimizer is characterized by feasibility together with W(X) being
 orthogonal to the kernel of A, and can be written through the dual system
 (A W^{-1} A*) lambda = y with X = W^{-1}(A*(lambda)).
 
-Two production methods are provided:
-
-* "direct" (default): eliminates W^{-1} through its Sherman-Morrison-Woodbury
-  split and solves one symmetric dense system of size m + s_k n2 built from
-  well-scaled blocks. This stays accurate as the smoothing parameters (and
-  with them the smallest eigenvalues of W) approach zero, which the dual
-  conjugate-gradient iteration cannot do in floating point.
-* "cg": conjugate gradients on the m-dimensional dual system, suitable while
-  the weight operator is moderately conditioned.
-
-``dense_oracle_solve`` is an independent KKT-based reference for small
-problems, kept for validation.
+The solve eliminates W^{-1} through its Sherman-Morrison-Woodbury split and
+solves one symmetric dense system of size m + s_k n2 built from well-scaled
+blocks. This stays accurate as the smoothing parameters (and with them the
+smallest eigenvalues of W) approach zero, where the dual system itself
+becomes too ill-conditioned to solve in floating point.
 """
 
 from __future__ import annotations
@@ -28,19 +21,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .measurement import MeasurementOperator
-from .weights import (
-    WeightState,
-    apply_b2_inv,
-    apply_w,
-    apply_w_inv,
-    smw_core_matrix,
-    IterationLimitError,
-)
+from .weights import WeightState, apply_b2_inv, smw_core_matrix
 
-__all__ = ["WlsSolution", "solve_wls", "dense_oracle_solve"]
-
-#: size guard for the dense KKT oracle
-DENSE_ORACLE_MAX_DIM = 2500
+__all__ = ["WlsSolution", "solve_wls"]
 
 
 @dataclass(frozen=True)
@@ -49,21 +32,7 @@ class WlsSolution:
 
     X: np.ndarray
     constraint_residual: float       # |A(X) - y|_2 / |y|_2
-    iterations: int                  # CG iterations (0 for the direct method)
     regularized: bool                # a rank-deficiency shift was applied
-    kernel_orthogonality: float | None = None
-    lam: np.ndarray | None = None    # dual iterate (CG method only)
-
-
-def _kernel_orthogonality(op, ws, X, kernel_dirs) -> float:
-    WX = apply_w(ws, X)
-    wnorm = np.linalg.norm(WX)
-    worst = 0.0
-    for Xi in kernel_dirs:
-        denom = wnorm * np.linalg.norm(Xi)
-        if denom > 0:
-            worst = max(worst, abs(float(np.sum(WX * Xi))) / denom)
-    return worst
 
 
 def _solve_direct(Amat, y, ws: WeightState, n1, n2):
@@ -117,115 +86,15 @@ def _solve_direct(Amat, y, ws: WeightState, n1, n2):
     return apply_b2_inv(ws, M), regularized
 
 
-def _solve_cg(op, y, ws, tol, max_iter, lam0):
-    # inner inverses one-hundredth of the outer target, floored where float64
-    # round-trip residuals bottom out
-    inner_tol = max(0.01 * tol, 1e-13)
-
-    def gram(lam):
-        Z = apply_w_inv(ws, op.adjoint(lam), tol=inner_tol)
-        return op.apply(Z)
-
-    y_norm = np.linalg.norm(y)
-    lam = np.zeros(op.m) if lam0 is None else np.asarray(lam0, dtype=float).copy()
-    r = y - gram(lam)
-    p = r.copy()
-    rs = float(r @ r)
-    it = 0
-    while np.sqrt(rs) > tol * y_norm:
-        if it >= max_iter:
-            raise IterationLimitError(
-                "dual CG exhausted its iteration cap", np.sqrt(rs) / y_norm
-            )
-        Gp = gram(p)
-        curv = float(p @ Gp)
-        if curv <= 0:
-            raise sla.LinAlgError(
-                "dual system is numerically singular (data outside range?)"
-            )
-        alpha = rs / curv
-        lam += alpha * p
-        r -= alpha * Gp
-        rs_new = float(r @ r)
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-        it += 1
-    X = apply_w_inv(ws, op.adjoint(lam), tol=inner_tol)
-    return X, it, lam
-
-
-def solve_wls(
-    op: MeasurementOperator,
-    y: np.ndarray,
-    ws: WeightState,
-    tol: float = 1e-12,
-    method: str = "direct",
-    kernel_dirs=None,
-    lam0=None,
-    cg_max_iter: int | None = None,
-) -> WlsSolution:
-    """Minimize <X, W(X)> over A(X) = y.
-
-    tol is the relative tolerance on the dual residual (CG) and on the
-    feasibility check (both methods). ``kernel_dirs`` is an optional iterable
-    of kernel matrices of A against which the optimality condition
-    <W(X), Xi> = 0 is scored. ``lam0`` warm-starts the CG method only.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (op.m,):
-        raise ValueError(f"expected data of length {op.m}")
+def solve_wls(op: MeasurementOperator, y: np.ndarray, ws: WeightState) -> WlsSolution:
+    """Minimize <X, W(X)> over A(X) = y; the feasibility residual of the
+    result is reported, not enforced."""
+    y = op.check_data(y)
     n1, n2 = op.dims
     if (ws.n1, ws.n2) != (n1, n2):
         raise ValueError("weight state dimensions disagree with the operator")
 
-    lam = None
-    if method == "direct":
-        Amat = op.as_matrix()
-        X, regularized = _solve_direct(Amat, y, ws, n1, n2)
-        iterations = 0
-    elif method == "cg":
-        if cg_max_iter is None:
-            cg_max_iter = max(10 * op.m, 1000)
-        X, iterations, lam = _solve_cg(op, y, ws, tol, cg_max_iter, lam0)
-        regularized = False
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    X, regularized = _solve_direct(op.as_matrix(), y, ws, n1, n2)
     y_norm = np.linalg.norm(y)
     res = np.linalg.norm(op.apply(X) - y) / y_norm if y_norm > 0 else 0.0
-    ko = _kernel_orthogonality(op, ws, X, kernel_dirs) if kernel_dirs is not None else None
-    return WlsSolution(
-        X=X,
-        constraint_residual=float(res),
-        iterations=iterations,
-        regularized=regularized,
-        kernel_orthogonality=ko,
-        lam=lam,
-    )
-
-
-def dense_oracle_solve(op: MeasurementOperator, y: np.ndarray, ws: WeightState) -> np.ndarray:
-    """KKT reference solve: assemble W by applying it to all basis elements,
-    factor [[W, A'], [A, 0]] densely, and return the X block.
-
-    Guarded to n1 * n2 <= 2500.
-    """
-    n1, n2 = op.dims
-    N = n1 * n2
-    if N > DENSE_ORACLE_MAX_DIM:
-        raise ValueError(f"dense oracle limited to n1*n2 <= {DENSE_ORACLE_MAX_DIM}")
-    y = np.asarray(y, dtype=float)
-    Amat = op.as_matrix()
-    m = Amat.shape[0]
-    basis = np.eye(N).reshape(N, n1, n2)
-    Wmat = apply_w(ws, basis).reshape(N, N).T
-    K = np.zeros((N + m, N + m))
-    K[:N, :N] = Wmat
-    K[:N, N:] = Amat.T
-    K[N:, :N] = Amat
-    rhs = np.concatenate([np.zeros(N), y])
-    try:
-        sol = sla.solve(K, rhs)
-    except sla.LinAlgError:
-        sol, *_ = sla.lstsq(K, rhs)
-    return sol[:N].reshape(n1, n2)
+    return WlsSolution(X=X, constraint_residual=float(res), regularized=regularized)

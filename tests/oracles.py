@@ -1,6 +1,7 @@
 """Independent brute-force references used by the tests: finite-difference
 gradients, explicit kernel bases, the full-basis Hadamard form of the
-spectral weight, and dense operator materializations.
+spectral weight, dense operator materializations, and a dense KKT solve of
+the weighted least squares step.
 
 These deliberately avoid the implicit formulas used by the production code:
 orthogonal complements are materialized, gradients are differenced, kernels
@@ -9,6 +10,8 @@ come from a full SVD of the measurement matrix.
 
 import numpy as np
 import scipy.linalg as sla
+
+from sparselowrank.weights import apply_w
 
 #: size guards so a misconfigured test cannot silently burn minutes
 MAX_DENSE_DIM = 2500
@@ -87,6 +90,37 @@ def dense_weight_matrix(ws, apply_w):
         cols[:, j] = apply_w(ws, E).ravel()
         E.flat[j] = 0.0
     return cols
+
+
+def dense_oracle_solve(op, y, ws):
+    """KKT reference solve of min <X, W(X)> s.t. A(X) = y: factor
+    [[W, A'], [A, 0]] densely and return the X block."""
+    Wmat = dense_weight_matrix(ws, apply_w)
+    Amat = op.as_matrix()
+    N, m = Wmat.shape[0], Amat.shape[0]
+    K = np.zeros((N + m, N + m))
+    K[:N, :N] = Wmat
+    K[:N, N:] = Amat.T
+    K[N:, :N] = Amat
+    rhs = np.concatenate([np.zeros(N), np.asarray(y, dtype=float)])
+    try:
+        sol = sla.solve(K, rhs)
+    except sla.LinAlgError:
+        sol, *_ = sla.lstsq(K, rhs)
+    return sol[:N].reshape(op.n1, op.n2)
+
+
+def kernel_orthogonality(ws, X, kernel_dirs):
+    """Worst normalized |<W(X), Xi>| over the kernel directions Xi: the
+    optimality condition of the weighted least squares step."""
+    WX = apply_w(ws, X)
+    wnorm = np.linalg.norm(WX)
+    worst = 0.0
+    for Xi in kernel_dirs:
+        denom = wnorm * np.linalg.norm(Xi)
+        if denom > 0:
+            worst = max(worst, abs(float(np.sum(WX * Xi))) / denom)
+    return worst
 
 
 def sorted_row_norms(X):

@@ -8,6 +8,7 @@ import scipy.linalg as sla
 
 from sparselowrank.bench import info_limit
 from sparselowrank.core import generate_ground_truth, rel_frobenius_error
+from sparselowrank.iht import IhtConfig, run_iht
 from sparselowrank.irls import (
     IrlsConfig,
     TRACE_COLUMNS,
@@ -148,6 +149,15 @@ class TestDriver:
             run_irls(op, np.zeros(10), IrlsConfig(r_tilde=5, s_tilde=4))
         with pytest.raises(ValueError):
             run_irls(op, np.zeros(10), IrlsConfig(r_tilde=1, s_tilde=9))
+
+    def test_non_finite_data_is_named(self):
+        gt, op, y = desk_instance(0)
+        y = y.copy()
+        y[3] = np.nan
+        for run, cfg in ((run_irls, IrlsConfig(r_tilde=2, s_tilde=8)),
+                         (run_iht, IhtConfig(r=2, s=8))):
+            with pytest.raises(ValueError, match=r"\by\b"):
+                run(op, y, cfg)
 
 
 class TestMmStep:

@@ -2,11 +2,8 @@
 else, so their own basic behavior is pinned here)."""
 
 import numpy as np
-import pytest
 
-from sparselowrank.core import SvdFactors
 from sparselowrank.measurement import MatrixOperator, fourier_rank_one, gaussian_dense
-from sparselowrank.weights import build_weight
 
 from oracles import finite_diff_grad, hadamard_weight_oracle, kernel_basis
 
@@ -66,22 +63,3 @@ class TestHadamardOracle:
         eps = 2 * np.linalg.svd(X, compute_uv=False)[0]
         assert np.allclose(hadamard_weight_oracle(X, eps, 1.0, Z), Z, atol=1e-12)
 
-
-class TestSvdFactors:
-    def test_weight_state_exposes_validated_factors(self):
-        X = np.diag([4.0, 1.0])
-        ws = build_weight(X, 2.0, np.inf)
-        fac = ws.factors
-        assert isinstance(fac, SvdFactors)
-        assert fac.rank == 1
-        assert np.allclose(fac.sigma, [4.0])
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
-            SvdFactors(U=np.ones((3, 2)), sigma=np.array([2.0, 1.0]),
-                       V=np.eye(2))
-
-    def test_rejects_increasing_sigma(self):
-        with pytest.raises(ValueError):
-            SvdFactors(U=np.eye(3)[:, :2], sigma=np.array([1.0, 2.0]),
-                       V=np.eye(2))

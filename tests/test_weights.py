@@ -161,22 +161,6 @@ class TestInverse:
             out = apply_w_inv(ws, Z, tol=1e-10)
             assert np.linalg.norm(apply_w(ws, out) - Z) <= 1e-10 * np.linalg.norm(Z)
 
-    def test_round_trip_cg(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            X, ws = random_state(rng)
-            Z = rng.standard_normal((8, 6))
-            out = apply_w_inv(ws, Z, tol=1e-10, method="cg")
-            assert np.linalg.norm(apply_w(ws, out) - Z) <= 1e-10 * np.linalg.norm(Z)
-
-    def test_cg_matches_smw(self):
-        rng = np.random.default_rng(14)
-        X, ws = random_state(rng)
-        Z = rng.standard_normal((8, 6))
-        a = apply_w_inv(ws, Z, tol=1e-12)
-        b = apply_w_inv(ws, Z, tol=1e-12, method="cg")
-        assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(a)
-
     def test_matches_dense_inverse(self):
         rng = np.random.default_rng(15)
         for _ in range(5):
@@ -187,15 +171,16 @@ class TestInverse:
             got = apply_w_inv(ws, Z, tol=1e-12)
             assert np.linalg.norm(got - expected) <= 1e-8 * np.linalg.norm(expected)
 
-    def test_cg_iteration_limit_surfaces(self):
-        # severe conditioning: CG cannot reach the target inside its cap
+    def test_iteration_limit_surfaces(self):
+        # no float64 round trip reaches a target this far below round-off;
+        # the miss is raised with the residual achieved
         rng = np.random.default_rng(16)
         gt_like = rng.standard_normal((12, 8))
         ws = build_weight(gt_like, 1e-9, 1e-9)
         Z = rng.standard_normal((12, 8))
         with pytest.raises(IterationLimitError) as err:
-            apply_w_inv(ws, Z, tol=1e-13, method="cg")
-        assert err.value.residual > 0
+            apply_w_inv(ws, Z, tol=1e-20)
+        assert err.value.residual > 1e-20
 
     def test_dimension_guard(self):
         ws = identity_weight(4, 3)
