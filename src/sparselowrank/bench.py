@@ -72,7 +72,6 @@ class ExperimentManifest:
     irls_max_iter: int = 250
     iht_max_iter: int = 2000
     tol: float = 1e-10
-    trace_objective: bool = True
     deterministic_output: bool = False
 
     def __post_init__(self):
@@ -95,6 +94,13 @@ class ExperimentManifest:
             if not self.r <= s <= self.n1 or self.r > self.n2:
                 raise ManifestError(f"grid value s={s} incompatible with r={self.r} "
                                     f"and dims ({self.n1}, {self.n2})")
+            r_t, s_t = self.model_orders(s)
+            r_max = min(self.n1, self.n2)
+            if not (1 <= r_t <= r_max and 1 <= s_t <= self.n1):
+                raise ManifestError(
+                    f"{self.model_order_policy!r} model-order policy gives orders "
+                    f"r={r_t}, s={s_t} at s={s}, outside [1, {r_max}] x [1, {self.n1}]"
+                )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentManifest":
@@ -163,7 +169,7 @@ def _solver_config(manifest: ExperimentManifest, alg: str, s: int):
     if alg == "irls":
         return IrlsConfig(
             r_tilde=r_t, s_tilde=s_t, max_iter=manifest.irls_max_iter,
-            tol_rel_change=manifest.tol, trace_objective=manifest.trace_objective,
+            tol_rel_change=manifest.tol,
         )
     return IhtConfig(r=r_t, s=s_t, max_iter=manifest.iht_max_iter, tol=manifest.tol)
 
@@ -345,8 +351,7 @@ def run_objective_evolution(manifest: ExperimentManifest):
     outputs = []
     for t in range(manifest.trials):
         gt, op, y = _build_instance(manifest, s, m, t)
-        cfg = replace(_solver_config(manifest, "irls", s), trace_objective=True)
-        result = run_irls(op, y, cfg, ground_truth=gt)
+        result = run_irls(op, y, _solver_config(manifest, "irls", s), ground_truth=gt)
         path = os.path.join(manifest.out_dir, f"objective_t{t:03d}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

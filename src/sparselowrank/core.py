@@ -1,13 +1,16 @@
 """Matrix containers, ground-truth generation, row/singular order statistics,
 and the projection operators used throughout the package.
 
-Matrices are plain 2-D float64 numpy arrays. All functions here are pure and
-never mutate their inputs.
+Matrices are plain 2-D float64 numpy arrays. An iterate's spectrum (thin SVD
+and row norms) is held by ``Spectrum``, which computes each part at most
+once so that every consumer of one iterate shares them. All functions here
+are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +24,8 @@ __all__ = [
     "project_tangent",
     "rel_frobenius_error",
     "as_matrix",
+    "Spectrum",
+    "as_spectrum",
 ]
 
 #: relative threshold below which a singular value counts as numerically zero
@@ -39,6 +44,36 @@ def as_matrix(X) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise ValueError("matrix contains non-finite entries")
     return X
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """A matrix with its thin SVD and row norms, each computed on first use
+    and then shared by every reader. Build it with ``as_spectrum``, which
+    validates the matrix."""
+
+    X: np.ndarray
+
+    @cached_property
+    def svd(self) -> tuple:
+        """``(U, sigma, Vt)`` from ``numpy.linalg.svd(X, full_matrices=False)``."""
+        return np.linalg.svd(self.X, full_matrices=False)
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """Singular values, nonincreasing."""
+        return self.svd[1]
+
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        return row_norms(self.X)
+
+
+def as_spectrum(X) -> Spectrum:
+    """Return ``X`` if it is a ``Spectrum``, else wrap ``as_matrix(X)``."""
+    if isinstance(X, Spectrum):
+        return X
+    return Spectrum(as_matrix(X))
 
 
 @dataclass(frozen=True)
@@ -111,12 +146,12 @@ def _row_order(norms: np.ndarray) -> np.ndarray:
     return np.argsort(-norms, kind="stable")
 
 
-def rho(X: np.ndarray, i: int) -> float:
-    """i-th largest row l2-norm of X (1-based rank, ties by smaller index)."""
-    X = as_matrix(X)
-    if not 1 <= i <= X.shape[0]:
-        raise IndexError(f"rank index {i} outside [1, {X.shape[0]}]")
-    norms = row_norms(X)
+def rho(X, i: int) -> float:
+    """i-th largest row l2-norm of X, a matrix or a ``Spectrum`` (1-based
+    rank, ties by smaller index)."""
+    norms = as_spectrum(X).row_norms
+    if not 1 <= i <= len(norms):
+        raise IndexError(f"rank index {i} outside [1, {len(norms)}]")
     return float(norms[_row_order(norms)[i - 1]])
 
 

@@ -6,6 +6,10 @@ The first iteration runs with the identity-scaled weight (infinite smoothing),
 which makes it the plain minimum-Frobenius-norm interpolant of the data. The
 smoothing thresholds then track the (r~+1)-st singular value and the
 (s~+1)-st largest row norm, never increasing.
+
+Each iterate's spectrum (one thin SVD and its row norms, ``core.Spectrum``)
+is computed once and feeds the smoothing update, the weight rebuild and the
+objective decomposition that every trace record carries.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GroundTruth, rel_frobenius_error, rho
+from .core import GroundTruth, as_spectrum, rel_frobenius_error, rho
 from .measurement import MeasurementOperator
 from .objective import SmoothingParams, f_lowrank, f_sparse, f_total, q_lowrank, q_sparse
 from .weights import build_weight, identity_weight
@@ -54,7 +58,6 @@ class IrlsConfig:
     tol_rel_change: float = 1e-10
     eps_floor: float = 1e-14
     delta_floor: float = 1e-14
-    trace_objective: bool = True
     keep_iterates: bool = False  # retain every iterate on the result (diagnostics)
 
     def validate(self, n1: int, n2: int):
@@ -109,8 +112,14 @@ class IterateTrace:
         return np.array([r.f_total for r in self.records])
 
     def max_objective_increase(self) -> float:
-        """Largest one-step increase of the traced objective (0 if monotone)."""
+        """Largest one-step increase of the traced objective (0 if monotone).
+
+        Raises ``ValueError`` if any traced objective is not finite, such as
+        the NaN placeholders of an IHT trace.
+        """
         f = self.objectives()
+        if not np.all(np.isfinite(f)):
+            raise ValueError("trace has non-finite objective values")
         if len(f) < 2:
             return 0.0
         return float(max(0.0, np.max(f[1:] - f[:-1])))
@@ -160,7 +169,7 @@ class RecoveryResult:
 
 
 def update_smoothing(
-    X: np.ndarray,
+    X,
     r_tilde: int,
     s_tilde: int,
     eps_prev: float,
@@ -170,14 +179,14 @@ def update_smoothing(
 ):
     """One smoothing update: eps = min(eps_prev, sigma_{r~+1}(X)) and
     delta = min(delta_prev, rho_{s~+1}(X)), both clamped below at their
-    floors.
+    floors. X is a matrix or a ``core.Spectrum``.
 
     Returns (SmoothingParams, eps_floored, delta_floored).
     """
-    n1, n2 = X.shape
-    sig = np.linalg.svd(X, compute_uv=False)
+    spec = as_spectrum(X)
+    sig = spec.sigma
     sig_next = float(sig[r_tilde]) if r_tilde < len(sig) else 0.0
-    rho_next = rho(X, s_tilde + 1) if s_tilde + 1 <= n1 else 0.0
+    rho_next = rho(spec, s_tilde + 1) if s_tilde + 1 <= spec.X.shape[0] else 0.0
     eps = min(eps_prev, sig_next)
     delta = min(delta_prev, rho_next)
     eps_floored = eps < eps_floor
@@ -231,18 +240,15 @@ def run_irls(
         if iterates is not None:
             iterates.append(X.copy())
 
+        spec = as_spectrum(X)
         params, eps_fl, delta_fl = update_smoothing(
-            X, config.r_tilde, config.s_tilde, eps_prev, delta_prev,
+            spec, config.r_tilde, config.s_tilde, eps_prev, delta_prev,
             config.eps_floor, config.delta_floor,
         )
         eps_prev, delta_prev = params.eps, params.delta
-        ws = build_weight(X, params.eps, params.delta)
-
-        if config.trace_objective:
-            flr = f_lowrank(X, params.eps)
-            fsp = f_sparse(X, params.delta)
-        else:
-            flr = fsp = math.nan
+        ws = build_weight(spec, params.eps, params.delta)
+        flr = f_lowrank(spec, params.eps)
+        fsp = f_sparse(spec, params.delta)
         err = rel_frobenius_error(X, X_ref) if X_ref is not None else math.nan
         trace.append(IterateRecord(
             k=k, eps=params.eps, delta=params.delta, r_k=ws.r_k, s_k=ws.s_k,
@@ -291,9 +297,11 @@ def check_mm_step(X_prev, X_next, eps: float, delta: float) -> MmStepReport:
 
     Violations are reported through the slacks, never raised; the first
     inequality holds for arbitrary matrix pairs, the second only along
-    trajectories of the algorithm.
+    trajectories of the algorithm. Each iterate's SVD is taken once.
     """
     params = SmoothingParams(eps=eps, delta=delta)
+    X_prev = as_spectrum(X_prev)
+    X_next = as_spectrum(X_next)
     q = q_lowrank(X_next, X_prev, eps) + q_sparse(X_next, X_prev, delta)
     return MmStepReport(
         f_next=f_total(X_next, params),

@@ -3,8 +3,11 @@ below a threshold and logarithmic above it, summed over singular values
 (spectral part) and over row l2-norms (sparsity part), plus the exact
 gradients and the quadratic models built around a reference point.
 
-Infinite smoothing parameters select the pure quadratic branch everywhere,
-which makes the algorithm's initial state well-defined without special cases.
+Every function of an iterate takes a matrix or a ``core.Spectrum``; given a
+spectrum, it reads the singular values, singular vectors and row norms
+computed there instead of taking its own SVD. Infinite smoothing parameters
+select the pure quadratic branch everywhere, which makes the algorithm's
+initial state well-defined without special cases.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, row_norms
+from .core import as_spectrum
+from .weights import apply_w_lowrank, apply_w_sparse, build_weight
 
 __all__ = [
     "SmoothingParams",
@@ -48,14 +52,16 @@ class SmoothingParams:
             raise ValueError(f"smoothing parameters must be positive, got {self}")
 
 
-def f_tau(t: float, tau: float) -> float:
-    """Scalar kernel: t^2/2 for |t| <= tau, else (tau^2/2) log(e t^2/tau^2)."""
+def f_tau(t, tau: float):
+    """Kernel, elementwise over t: t^2/2 for |t| <= tau, else
+    (tau^2/2) log(e t^2/tau^2). A scalar t gives a float."""
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    t = float(t)
-    if abs(t) <= tau:
-        return 0.5 * t * t
-    return 0.5 * tau * tau * (1.0 + 2.0 * math.log(abs(t) / tau))
+    t = np.abs(np.asarray(t, dtype=float))
+    # min(|t|, tau)^2 / 2 scaled by 1 + log((|t|/tau)^2) above the threshold;
+    # an infinite tau leaves the quadratic branch everywhere
+    out = 0.5 * np.minimum(t, tau) ** 2 * (1.0 + 2.0 * np.log(np.maximum(t / tau, 1.0)))
+    return float(out) if out.ndim == 0 else out
 
 
 def f_tau_prime(t: float, tau: float) -> float:
@@ -68,70 +74,58 @@ def f_tau_prime(t: float, tau: float) -> float:
     return tau * tau * t / (t * t)
 
 
-def _f_tau_vec(values: np.ndarray, tau: float) -> float:
-    if math.isinf(tau):
-        return 0.5 * float(np.sum(values * values))
-    out = 0.0
-    for v in values:
-        out += f_tau(v, tau)
-    return out
-
-
-def f_lowrank(X: np.ndarray, eps: float) -> float:
+def f_lowrank(X, eps: float) -> float:
     """Spectral part: sum of the kernel over the singular values of X."""
-    X = as_matrix(X)
-    sig = np.linalg.svd(X, compute_uv=False)
+    sig = as_spectrum(X).sigma
     if sig[0] > 0:
         sig = np.where(sig < _SV_CLAMP_RTOL * sig[0], 0.0, sig)
-    return _f_tau_vec(sig, eps)
+    return float(np.sum(f_tau(sig, eps)))
 
 
-def f_sparse(X: np.ndarray, delta: float) -> float:
+def f_sparse(X, delta: float) -> float:
     """Sparsity part: sum of the kernel over the row l2-norms of X."""
-    return _f_tau_vec(row_norms(as_matrix(X)), delta)
+    return float(np.sum(f_tau(as_spectrum(X).row_norms, delta)))
 
 
-def f_total(X: np.ndarray, params: SmoothingParams) -> float:
+def f_total(X, params: SmoothingParams) -> float:
     """Full surrogate objective, spectral plus sparsity part."""
+    X = as_spectrum(X)
     return f_lowrank(X, params.eps) + f_sparse(X, params.delta)
 
 
-def grad_f_sparse(X: np.ndarray, delta: float) -> np.ndarray:
+def grad_f_sparse(X, delta: float) -> np.ndarray:
     """Gradient of the sparsity part: row i is delta^2 X_i / max(|X_i|^2, delta^2)."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    X = as_matrix(X)
+    spec = as_spectrum(X)
     if math.isinf(delta):
-        return X.copy()
-    nrm2 = row_norms(X) ** 2
-    scale = delta**2 / np.maximum(nrm2, delta**2)
-    return scale[:, None] * X
+        return spec.X.copy()
+    scale = delta**2 / np.maximum(spec.row_norms**2, delta**2)
+    return scale[:, None] * spec.X
 
 
-def grad_f_lowrank(X: np.ndarray, eps: float) -> np.ndarray:
+def grad_f_lowrank(X, eps: float) -> np.ndarray:
     """Gradient of the spectral part: U diag(sigma_i min(eps^2/sigma_i^2, 1)) V'."""
     if not eps > 0:
         raise ValueError("eps must be positive")
-    X = as_matrix(X)
+    spec = as_spectrum(X)
     if math.isinf(eps):
-        return X.copy()
-    U, sig, Vt = np.linalg.svd(X, full_matrices=False)
+        return spec.X.copy()
+    U, sig, Vt = spec.svd
     scaled = np.where(sig > eps, eps**2 / np.maximum(sig, eps), sig)
     return (U * scaled) @ Vt
 
 
-def q_lowrank(Z: np.ndarray, X: np.ndarray, eps: float) -> float:
+def q_lowrank(Z, X, eps: float) -> float:
     """Quadratic model of the spectral part anchored at X.
 
     ``f_lowrank(X) + <grad, Z - X> + 0.5 <Z - X, W_lr (Z - X)>`` with the
     spectral weight built from (X, eps). Majorizes ``f_lowrank`` globally.
+    The anchor's SVD is taken once and shared by all three terms.
     """
-    from .weights import build_weight, apply_w_lowrank
-
-    Z = as_matrix(Z)
-    X = as_matrix(X)
+    X = as_spectrum(X)
     ws = build_weight(X, eps, np.inf)
-    D = Z - X
+    D = as_spectrum(Z).X - X.X
     return (
         f_lowrank(X, eps)
         + float(np.sum(grad_f_lowrank(X, eps) * D))
@@ -139,14 +133,11 @@ def q_lowrank(Z: np.ndarray, X: np.ndarray, eps: float) -> float:
     )
 
 
-def q_sparse(Z: np.ndarray, X: np.ndarray, delta: float) -> float:
+def q_sparse(Z, X, delta: float) -> float:
     """Quadratic model of the sparsity part anchored at X (see ``q_lowrank``)."""
-    from .weights import build_weight, apply_w_sparse
-
-    Z = as_matrix(Z)
-    X = as_matrix(X)
+    X = as_spectrum(X)
     ws = build_weight(X, np.inf, delta)
-    D = Z - X
+    D = as_spectrum(Z).X - X.X
     return (
         f_sparse(X, delta)
         + float(np.sum(grad_f_sparse(X, delta) * D))

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .core import as_matrix, row_norms
+from .core import as_matrix, as_spectrum
 
 __all__ = [
     "WeightState",
@@ -109,8 +109,10 @@ class WeightState:
         return sla.lu_factor(smw_core_matrix(self))
 
 
-def build_weight(X: np.ndarray, eps: float, delta: float) -> WeightState:
-    """Construct the weight state from an iterate and smoothing thresholds.
+def build_weight(X, eps: float, delta: float) -> WeightState:
+    """Construct the weight state from an iterate (a matrix or a
+    ``core.Spectrum``, whose SVD and row norms are reused) and smoothing
+    thresholds.
 
     eps and delta must be positive; infinity selects the identity behavior of
     the corresponding part (the applied operator is then 2 * Id overall).
@@ -118,9 +120,9 @@ def build_weight(X: np.ndarray, eps: float, delta: float) -> WeightState:
     """
     if not (eps > 0 and delta > 0):
         raise ValueError("smoothing parameters must be positive")
-    X = as_matrix(X)
-    n1, n2 = X.shape
-    norms = row_norms(X)
+    spec = as_spectrum(X)
+    n1, n2 = spec.X.shape
+    norms = spec.row_norms
     if math.isinf(delta):
         sp_diag = np.ones(n1)
         s_k = 0
@@ -133,7 +135,7 @@ def build_weight(X: np.ndarray, eps: float, delta: float) -> WeightState:
         sigma = np.zeros(0)
         r_k = 0
     else:
-        Uf, sig, Vt = np.linalg.svd(X, full_matrices=False)
+        Uf, sig, Vt = spec.svd
         r_k = int(np.sum(sig > eps * (1.0 + _EPS_TIE_RTOL)))
         U = Uf[:, :r_k]
         V = Vt[:r_k].T

@@ -248,7 +248,7 @@ def _grid_manifest(tmpdir, r, policy):
         algorithms=["irls", "iht"], model_order_policy=policy,
         trials=16, base_seed=9000 + r, out_dir=str(tmpdir),
         threads=2, irls_max_iter=120, iht_max_iter=1000,
-        trace_objective=False, deterministic_output=True,
+        deterministic_output=True,
     )
 
 

@@ -30,7 +30,6 @@ def tiny_manifest(out_dir, **overrides):
         out_dir=str(out_dir),
         irls_max_iter=40,
         iht_max_iter=300,
-        trace_objective=False,
         deterministic_output=True,
     )
     base.update(overrides)
@@ -64,6 +63,14 @@ class TestManifest:
     def test_rejects_unknown_keys(self):
         with pytest.raises(ManifestError):
             ExperimentManifest.from_dict({"kind": "phase-grid", "bogus": 1})
+        # options that were removed are unknown keys too
+        with pytest.raises(ManifestError):
+            tiny_manifest("x", trace_objective=False)
+
+    def test_rejects_model_orders_outside_dims(self):
+        # overestimated orders r~ = 2r = 8 > n2 = 6 and s~ = floor(1.5 s) = 18 > n1
+        with pytest.raises(ManifestError, match="overestimate"):
+            tiny_manifest("x", r=4, s_values=[12], model_order_policy="overestimate")
 
     def test_model_orders(self):
         man = tiny_manifest("x", r=2)
@@ -141,7 +148,6 @@ class TestConvergenceAndObjective:
     def test_convergence_traces_and_rate_fit(self, tmp_path):
         man = tiny_manifest(
             tmp_path, kind="convergence", m_factors=[3.0], trials=2,
-            trace_objective=True,
         )
         report = run_convergence(man)
         assert set(report["algorithms"]) == {"irls", "iht"}
@@ -156,7 +162,7 @@ class TestConvergenceAndObjective:
     def test_objective_evolution_csv(self, tmp_path):
         man = tiny_manifest(
             tmp_path, kind="objective-evolution", m_factors=[3.0], trials=1,
-            algorithms=["irls"], trace_objective=True,
+            algorithms=["irls"],
         )
         run_objective_evolution(man)
         rows = list(csv.reader((tmp_path / "objective_t000.csv").open()))

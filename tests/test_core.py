@@ -4,6 +4,8 @@ import pytest
 from sparselowrank.core import (
     GroundTruth,
     InvalidDimensionError,
+    Spectrum,
+    as_spectrum,
     generate_ground_truth,
     hard_threshold_rows,
     project_tangent,
@@ -53,6 +55,40 @@ class TestGroundTruth:
         gt = generate_ground_truth(10, 4, 1, 3, seed=5)
         with pytest.raises(ValueError):
             GroundTruth(X=gt.X, support=np.array([0, 1, 2]), rank=1, row_sparsity=3)
+
+
+class TestSpectrum:
+    def test_passes_through_and_validates(self):
+        spec = as_spectrum(np.eye(3))
+        assert isinstance(spec, Spectrum)
+        assert as_spectrum(spec) is spec
+        with pytest.raises(ValueError):
+            as_spectrum(np.array([[1.0, np.nan]]))
+        with pytest.raises(InvalidDimensionError):
+            as_spectrum(np.ones(3))
+
+    def test_each_part_computed_once(self, monkeypatch):
+        X = np.random.default_rng(1).standard_normal((5, 3))
+        spec = as_spectrum(X)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        U, sig, Vt = spec.svd
+        assert spec.sigma is sig and spec.svd[0] is U
+        assert spec.row_norms is spec.row_norms
+        assert len(calls) == 1
+        assert np.allclose((U * sig) @ Vt, X, atol=1e-12)
+        assert np.allclose(spec.row_norms, np.linalg.norm(X, axis=1), rtol=0, atol=0)
+
+    def test_rho_reads_the_spectrum(self):
+        X = np.random.default_rng(2).standard_normal((6, 3))
+        spec = as_spectrum(X)
+        assert [rho(spec, i) for i in range(1, 7)] == [rho(X, i) for i in range(1, 7)]
 
 
 class TestRho:

@@ -11,6 +11,8 @@ from sparselowrank.core import generate_ground_truth, rel_frobenius_error
 from sparselowrank.iht import IhtConfig, run_iht
 from sparselowrank.irls import (
     IrlsConfig,
+    IterateRecord,
+    IterateTrace,
     TRACE_COLUMNS,
     check_mm_step,
     fit_quadratic_rate,
@@ -25,6 +27,19 @@ def desk_instance(seed, n1=64, n2=16, r=2, s=8, oversampling=3.0):
     gt = generate_ground_truth(n1, n2, r, s, seed)
     op = gaussian_dense(n1, n2, m, 1000 + seed)
     return gt, op, op.apply(gt.X)
+
+
+def count_svd_calls(monkeypatch) -> list:
+    """Patch numpy.linalg.svd to log each call; returns the log."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
 
 
 class TestUpdateSmoothing:
@@ -150,6 +165,16 @@ class TestDriver:
         with pytest.raises(ValueError):
             run_irls(op, np.zeros(10), IrlsConfig(r_tilde=1, s_tilde=9))
 
+    def test_one_svd_per_iteration(self, monkeypatch):
+        # the smoothing update, the weight rebuild and the objective trace all
+        # read the same spectrum of each iterate
+        gt, op, y = desk_instance(2)
+        calls = count_svd_calls(monkeypatch)
+        res = run_irls(op, y, IrlsConfig(r_tilde=2, s_tilde=8), ground_truth=gt)
+        assert res.iterations > 1
+        assert len(calls) == res.iterations
+        assert np.all(np.isfinite(res.trace.objectives()))
+
     def test_non_finite_data_is_named(self):
         gt, op, y = desk_instance(0)
         y = y.copy()
@@ -180,6 +205,13 @@ class TestMmStep:
             assert rep.majorization_slack >= -1e-9 * (1 + abs(rep.q_total))
             assert rep.descent_slack >= -1e-9 * (1 + abs(rep.f_prev))
 
+    def test_one_svd_per_iterate(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        X, Z = rng.standard_normal((2, 6, 4))
+        calls = count_svd_calls(monkeypatch)
+        check_mm_step(X, Z, 0.5, 0.5)
+        assert len(calls) == 2
+
     def test_majorization_on_random_pairs(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
@@ -188,6 +220,29 @@ class TestMmStep:
             rep = check_mm_step(X, Z, float(rng.uniform(0.1, 1.5)),
                                 float(rng.uniform(0.1, 1.5)))
             assert rep.majorization_slack >= -1e-9 * (1 + abs(rep.q_total))
+
+
+class TestObjectiveIncrease:
+    def _trace(self, objectives):
+        trace = IterateTrace()
+        for k, f in enumerate(objectives, start=1):
+            trace.append(IterateRecord(
+                k=k, eps=1.0, delta=1.0, r_k=1, s_k=1, rel_change=1.0,
+                f_lowrank=f, f_sparse=0.0, f_total=f, rel_error=math.nan,
+                wall_time_s=0.0, eps_floored=False, delta_floored=False,
+            ))
+        return trace
+
+    def test_largest_rise(self):
+        assert self._trace([3.0, 2.0, 2.5, 1.0]).max_objective_increase() == 0.5
+        assert self._trace([3.0, 2.0, 1.0]).max_objective_increase() == 0.0
+
+    def test_non_finite_objective_raises(self):
+        # an untraced objective must not read as a monotone one
+        with pytest.raises(ValueError, match="non-finite"):
+            self._trace([math.nan, math.nan]).max_objective_increase()
+        with pytest.raises(ValueError, match="non-finite"):
+            self._trace([2.0, math.nan, 1.0]).max_objective_increase()
 
 
 class TestTraceCsv:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sparselowrank.core import as_spectrum
 from sparselowrank.objective import (
     SmoothingParams,
     f_lowrank,
@@ -46,6 +47,18 @@ class TestScalarKernel:
         with pytest.raises(ValueError):
             f_tau_prime(1.0, -1.0)
 
+    def test_vectorised_matches_loop(self):
+        def loop(values, tau):
+            return [0.5 * v * v if abs(v) <= tau
+                    else 0.5 * tau * tau * (1.0 + 2.0 * math.log(abs(v) / tau))
+                    for v in values]
+
+        t = np.array([-3.0, -0.5, 0.0, 0.25, 1.0, 1.5, 40.0])
+        for tau in (0.3, 1.0, np.inf):
+            vals = f_tau(t, tau)
+            assert vals.shape == t.shape
+            assert np.allclose(vals, loop(t, tau), rtol=4 * np.finfo(float).eps, atol=0)
+
     def test_derivative_identity_regime(self):
         assert f_tau_prime(0.0, 1.0) == 0.0
         assert f_tau_prime(0.3, 1.0) == 0.3
@@ -88,6 +101,19 @@ class TestObjectives:
         expected_sp = sum(f_tau(np.linalg.norm(row), delta) for row in X)
         assert np.isclose(f_lowrank(X, eps), expected_lr, rtol=1e-12)
         assert np.isclose(f_sparse(X, delta), expected_sp, rtol=1e-12)
+
+    def test_spectrum_gives_the_same_values(self):
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((6, 4))
+        spec = as_spectrum(X)
+        eps, delta = 0.7, 0.4
+        assert f_lowrank(spec, eps) == f_lowrank(X, eps)
+        assert f_sparse(spec, delta) == f_sparse(X, delta)
+        assert np.array_equal(grad_f_lowrank(spec, eps), grad_f_lowrank(X, eps))
+        assert np.array_equal(grad_f_sparse(spec, delta), grad_f_sparse(X, delta))
+        Z = rng.standard_normal((6, 4))
+        assert q_lowrank(Z, spec, eps) == q_lowrank(Z, X, eps)
+        assert q_sparse(Z, spec, delta) == q_sparse(Z, X, delta)
 
     def test_infinite_params_allowed(self):
         X = np.random.default_rng(3).standard_normal((4, 4))
