@@ -28,7 +28,6 @@ from .objective import (
     f_lowrank,
     f_sparse,
     f_tau,
-    f_tau_prime,
     f_total,
     grad_f_lowrank,
     grad_f_sparse,
@@ -36,10 +35,8 @@ from .objective import (
     q_sparse,
 )
 from .weights import (
-    IterationLimitError,
     WeightState,
     apply_w,
-    apply_w_inv,
     apply_w_lowrank,
     apply_w_sparse,
     build_weight,

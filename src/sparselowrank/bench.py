@@ -11,15 +11,19 @@ significant digits; wall-clock fields can be zeroed through
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import multiprocessing
 import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+import scipy
 
 from .core import generate_ground_truth, rel_frobenius_error
 from .iht import IhtConfig, run_iht
@@ -84,12 +88,19 @@ class ExperimentManifest:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ManifestError(f"unknown algorithm {alg!r}")
-        if self.trials < 1:
-            raise ManifestError("trials must be >= 1")
+        for name in ("trials", "threads", "irls_max_iter", "iht_max_iter"):
+            if getattr(self, name) < 1:
+                raise ManifestError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.tol >= 0:
+            raise ManifestError(f"tol must be >= 0, got {self.tol}")
         if not self.s_values:
             raise ManifestError("s_values must be non-empty")
         if (self.m_values is None) == (self.m_factors is None):
             raise ManifestError("exactly one of m_values / m_factors is required")
+        if self.m_values is not None and not all(m >= 1 for m in self.m_values):
+            raise ManifestError(f"m_values entries must be >= 1, got {self.m_values}")
+        if self.m_factors is not None and not all(f > 0 for f in self.m_factors):
+            raise ManifestError(f"m_factors entries must be > 0, got {self.m_factors}")
         for s in self.s_values:
             if not self.r <= s <= self.n1 or self.r > self.n2:
                 raise ManifestError(f"grid value s={s} incompatible with r={self.r} "
@@ -202,9 +213,33 @@ def _run_trial(manifest: ExperimentManifest, alg: str, s: int, m: int, t: int) -
         }
 
 
+#: BLAS thread settings of pool workers: with one BLAS thread each, ``threads``
+#: workers use ``threads`` cores instead of oversubscribing them, and a pooled
+#: grid's results do not depend on the machine's core count
+WORKER_BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+@contextlib.contextmanager
+def _environ(overrides: dict):
+    saved = {k: os.environ.get(k) for k in overrides}
+    os.environ.update(overrides)
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k)
+            else:
+                os.environ[k] = v
+
+
 def _run_tasks(manifest: ExperimentManifest, tasks: list) -> list:
     if manifest.threads > 1:
-        with ProcessPoolExecutor(max_workers=manifest.threads) as pool:
+        # BLAS reads its thread count once, at load, so workers are spawned
+        # (not forked) with the setting in their environment
+        spawn = multiprocessing.get_context("spawn")
+        with _environ(WORKER_BLAS_ENV), \
+                ProcessPoolExecutor(max_workers=manifest.threads, mp_context=spawn) as pool:
             records = list(pool.map(_trial_worker, [(manifest, *t) for t in tasks]))
     else:
         records = [_run_trial(manifest, *t) for t in tasks]
@@ -216,10 +251,30 @@ def _trial_worker(packed):
     return _run_trial(*packed)
 
 
+def _environment() -> dict:
+    """Versions, BLAS library and thread settings of the running process."""
+    from . import __version__
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "sparselowrank": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest_echo(manifest: ExperimentManifest):
     os.makedirs(manifest.out_dir, exist_ok=True)
     path = os.path.join(manifest.out_dir, "manifest_echo.json")
     echo = asdict(manifest)
+    # what produced the outputs: trajectories depend on the BLAS setting
+    echo["environment"] = _environment()
+    echo["environment"]["worker_env"] = WORKER_BLAS_ENV if manifest.threads > 1 else None
     # how per-trial ensembles/ground truths derive from the base seed
     echo["seed_scheme"] = (
         "numpy.random.SeedSequence(entropy=base_seed, spawn_key=(s, m, trial, "

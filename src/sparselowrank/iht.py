@@ -28,6 +28,10 @@ from .measurement import MeasurementOperator
 
 __all__ = ["IhtConfig", "run_iht"]
 
+#: a run stops as "diverged" once its error (or residual norm, without ground
+#: truth) exceeds this multiple of its first iterate's
+DIVERGENCE_FACTOR = 1e3
+
 
 @dataclass(frozen=True)
 class IhtConfig:
@@ -38,13 +42,16 @@ class IhtConfig:
     step_size: float | str = "adaptive"
     max_iter: int = 2000
     tol: float = 1e-10          # on the restricted-gradient norm
-    divergence_factor: float = 1e3
 
     def validate(self, n1, n2):
         if not 1 <= self.r <= min(n1, n2):
             raise ValueError(f"r={self.r} outside [1, {min(n1, n2)}]")
         if not 1 <= self.s <= n1:
             raise ValueError(f"s={self.s} outside [1, {n1}]")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter={self.max_iter} must be >= 1")
+        if not self.tol >= 0:
+            raise ValueError(f"tol={self.tol} must be >= 0")
         if self.step_size != "adaptive" and not float(self.step_size) >= 0:
             raise ValueError("step_size must be nonnegative or 'adaptive'")
 
@@ -129,7 +136,7 @@ def run_iht(
             eps_floored=False, delta_floored=False,
         ))
 
-        if gauge > config.divergence_factor * baseline:
+        if gauge > DIVERGENCE_FACTOR * baseline:
             termination = "diverged"
             break
         if gt_norm < config.tol:

@@ -15,7 +15,6 @@ objective decomposition that every trace record carries.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import time
 from dataclasses import dataclass, field
@@ -42,22 +41,24 @@ __all__ = [
     "TRACE_COLUMNS",
 ]
 
+#: lower clamp on both smoothing parameters; keeps the weight operator finite
+#: when a run reaches exact recovery before the relative-change test fires
+SMOOTHING_FLOOR = 1e-14
+
 
 @dataclass(frozen=True)
 class IrlsConfig:
     """Driver configuration.
 
     r_tilde and s_tilde are the rank and row-sparsity estimates handed to the
-    smoothing schedule; the floors keep the weight operator finite when a run
-    reaches exact recovery before the relative-change test fires.
+    smoothing schedule; both smoothing parameters are clamped below at
+    ``SMOOTHING_FLOOR``.
     """
 
     r_tilde: int
     s_tilde: int
     max_iter: int = 250
     tol_rel_change: float = 1e-10
-    eps_floor: float = 1e-14
-    delta_floor: float = 1e-14
     keep_iterates: bool = False  # retain every iterate on the result (diagnostics)
 
     def validate(self, n1: int, n2: int):
@@ -65,8 +66,10 @@ class IrlsConfig:
             raise ValueError(f"r_tilde={self.r_tilde} outside [1, {min(n1, n2)}]")
         if not 1 <= self.s_tilde <= n1:
             raise ValueError(f"s_tilde={self.s_tilde} outside [1, {n1}]")
-        if self.eps_floor <= 0 or self.delta_floor <= 0:
-            raise ValueError("smoothing floors must be positive")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter={self.max_iter} must be >= 1")
+        if not self.tol_rel_change >= 0:
+            raise ValueError(f"tol_rel_change={self.tol_rel_change} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -144,11 +147,6 @@ class IterateTrace:
                 int(r.eps_floored), int(r.delta_floored),
             ])
 
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self._write(buf)
-        return buf.getvalue()
-
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
@@ -168,18 +166,10 @@ class RecoveryResult:
         return self.trace.records[-1].rel_error if self.trace.records else math.nan
 
 
-def update_smoothing(
-    X,
-    r_tilde: int,
-    s_tilde: int,
-    eps_prev: float,
-    delta_prev: float,
-    eps_floor: float = 1e-14,
-    delta_floor: float = 1e-14,
-):
+def update_smoothing(X, r_tilde: int, s_tilde: int, eps_prev: float, delta_prev: float):
     """One smoothing update: eps = min(eps_prev, sigma_{r~+1}(X)) and
-    delta = min(delta_prev, rho_{s~+1}(X)), both clamped below at their
-    floors. X is a matrix or a ``core.Spectrum``.
+    delta = min(delta_prev, rho_{s~+1}(X)), both clamped below at
+    ``SMOOTHING_FLOOR``. X is a matrix or a ``core.Spectrum``.
 
     Returns (SmoothingParams, eps_floored, delta_floored).
     """
@@ -189,10 +179,10 @@ def update_smoothing(
     rho_next = rho(spec, s_tilde + 1) if s_tilde + 1 <= spec.X.shape[0] else 0.0
     eps = min(eps_prev, sig_next)
     delta = min(delta_prev, rho_next)
-    eps_floored = eps < eps_floor
-    delta_floored = delta < delta_floor
+    eps_floored = eps < SMOOTHING_FLOOR
+    delta_floored = delta < SMOOTHING_FLOOR
     return (
-        SmoothingParams(eps=max(eps, eps_floor), delta=max(delta, delta_floor)),
+        SmoothingParams(eps=max(eps, SMOOTHING_FLOOR), delta=max(delta, SMOOTHING_FLOOR)),
         eps_floored,
         delta_floored,
     )
@@ -243,7 +233,6 @@ def run_irls(
         spec = as_spectrum(X)
         params, eps_fl, delta_fl = update_smoothing(
             spec, config.r_tilde, config.s_tilde, eps_prev, delta_prev,
-            config.eps_floor, config.delta_floor,
         )
         eps_prev, delta_prev = params.eps, params.delta
         ws = build_weight(spec, params.eps, params.delta)

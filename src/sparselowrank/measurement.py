@@ -33,7 +33,7 @@ __all__ = [
     "RipEstimate",
 ]
 
-#: default cap on n1 * n2 * m for building the dense matrix representation
+#: cap on n1 * n2 * m for building the dense matrix representation
 MATERIALIZE_BUDGET = 10**8
 
 
@@ -81,13 +81,13 @@ class MeasurementOperator:
             raise ValueError("data y contains non-finite entries")
         return y
 
-    def as_matrix(self, budget: int = MATERIALIZE_BUDGET) -> np.ndarray:
+    def as_matrix(self) -> np.ndarray:
         """Dense m x (n1 n2) representation (cached; row-major flattening)."""
         if self._matrix is None:
-            if self.n1 * self.n2 * self.m > budget:
+            if self.n1 * self.n2 * self.m > MATERIALIZE_BUDGET:
                 raise MemoryError(
                     f"materialization of size {self.m} x {self.n1 * self.n2} "
-                    f"exceeds the budget of {budget} entries"
+                    f"exceeds the budget of {MATERIALIZE_BUDGET} entries"
                 )
             self._matrix = self._materialize()
         return self._matrix

@@ -23,7 +23,6 @@ from .weights import apply_w_lowrank, apply_w_sparse, build_weight
 __all__ = [
     "SmoothingParams",
     "f_tau",
-    "f_tau_prime",
     "f_lowrank",
     "f_sparse",
     "f_total",
@@ -62,16 +61,6 @@ def f_tau(t, tau: float):
     # an infinite tau leaves the quadratic branch everywhere
     out = 0.5 * np.minimum(t, tau) ** 2 * (1.0 + 2.0 * np.log(np.maximum(t / tau, 1.0)))
     return float(out) if out.ndim == 0 else out
-
-
-def f_tau_prime(t: float, tau: float) -> float:
-    """Derivative of ``f_tau``: tau^2 t / max(t^2, tau^2)."""
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    t = float(t)
-    if abs(t) <= tau:
-        return t
-    return tau * tau * t / (t * t)
 
 
 def f_lowrank(X, eps: float) -> float:

@@ -4,11 +4,11 @@ thresholds.
 
 The spectral part is applied in the implicit two-sided form
 ``(I + U(D-I)U') Z (I + V(D-I)V')`` so the orthogonal complements of U and V
-are never materialized. The inverse is available in closed form through a
-Sherman-Morrison-Woodbury factorization that splits the operator into
-``(spectral part + Id)`` (invertible entry-wise in the singular bases) plus a
-row-diagonal correction supported on the s_k heavy rows; the small SMW system
-has size s_k * n2 and is factored once per state.
+are never materialized. For the weighted least squares solve the operator
+splits, Sherman-Morrison-Woodbury style, into ``(spectral part + Id)``, whose
+inverse ``apply_b2_inv`` is closed-form in the singular bases, plus a
+row-diagonal correction supported on the s_k heavy rows, whose SMW core of
+size s_k * n2 is ``smw_core_matrix``.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
-from .core import as_matrix, as_spectrum
+from .core import as_spectrum
 
 __all__ = [
     "WeightState",
@@ -29,21 +28,10 @@ __all__ = [
     "apply_w_lowrank",
     "apply_w_sparse",
     "apply_w",
-    "apply_w_inv",
-    "IterationLimitError",
 ]
 
 #: relative slack for "sigma_i numerically equal to eps counts as <= eps"
 _EPS_TIE_RTOL = 1e-12
-
-
-class IterationLimitError(RuntimeError):
-    """An inverse application missed its residual target; carries the
-    residual achieved."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual {residual:.3e})")
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -100,13 +88,6 @@ class WeightState:
         # blocks 1/(1 + d_i d_j), 1/(1 + d_i), and 1/2 on the complement
         d = self.d
         return 1.0 / (1.0 + np.outer(d, d)), 1.0 / (1.0 + d)
-
-    @cached_property
-    def _smw_factor(self):
-        """LU factorization of the small SMW system over the active rows."""
-        if len(self.active_rows) == 0:
-            return None
-        return sla.lu_factor(smw_core_matrix(self))
 
 
 def build_weight(X, eps: float, delta: float) -> WeightState:
@@ -238,37 +219,3 @@ def apply_b2_inv(ws: WeightState, Z: np.ndarray) -> np.ndarray:
     t_right = ((ZV - U @ M11) * k1) @ V.T
     t_perp = 0.5 * (Z - U @ UtZ - ZV @ V.T + U @ M11 @ V.T)
     return t_core + t_left + t_right + t_perp
-
-
-def _smw_correction(ws: WeightState, Z0: np.ndarray) -> np.ndarray:
-    """Given Z0 = B2^{-1}(Z), return the SMW-corrected W^{-1}(Z)."""
-    act = ws.active_rows
-    if len(act) == 0:
-        return Z0
-    rhs = Z0[act].ravel()
-    mu = -sla.lu_solve(ws._smw_factor, rhs)
-    E_mu = np.zeros((ws.n1, ws.n2))
-    E_mu[act] = mu.reshape(len(act), ws.n2)
-    return Z0 + apply_b2_inv(ws, E_mu)
-
-
-def apply_w_inv(ws: WeightState, Z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Apply the inverse weight operator so that |W(W^{-1}Z) - Z|_F <= tol |Z|_F.
-
-    Uses the closed-form SMW factorization and raises ``IterationLimitError``
-    when the round-trip residual misses the target.
-    """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    Z = as_matrix(Z)
-    if Z.shape != (ws.n1, ws.n2):
-        raise ValueError("dimension mismatch")
-    z_norm = np.linalg.norm(Z)
-    if z_norm == 0.0:
-        return np.zeros_like(Z)
-
-    out = _smw_correction(ws, apply_b2_inv(ws, Z))
-    res = np.linalg.norm(apply_w(ws, out) - Z) / z_norm
-    if res > tol:
-        raise IterationLimitError("SMW inverse missed the residual target", res)
-    return out

@@ -72,6 +72,24 @@ class TestManifest:
         with pytest.raises(ManifestError, match="overestimate"):
             tiny_manifest("x", r=4, s_values=[12], model_order_policy="overestimate")
 
+    @pytest.mark.parametrize("overrides", [
+        {"m_values": [0], "m_factors": None},
+        {"m_values": [-5], "m_factors": None},
+        {"m_values": [40, 0], "m_factors": None},
+        {"m_factors": [0.0]},
+        {"m_factors": [2.0, -1.0]},
+        {"threads": 0},
+        {"threads": -2},
+        {"irls_max_iter": 0},
+        {"iht_max_iter": 0},
+        {"tol": -1e-10},
+    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items() if v is not None))
+    def test_rejects_out_of_range_values(self, overrides):
+        # each would otherwise reach the trials: as an error in every trial,
+        # a silent m=1 or serial run, or a failed first iterate
+        with pytest.raises(ManifestError):
+            tiny_manifest("x", **overrides)
+
     def test_model_orders(self):
         man = tiny_manifest("x", r=2)
         assert man.model_orders(8) == (2, 8)
@@ -102,6 +120,15 @@ class TestPhaseGrid:
             assert len(keys) == len(set(keys)) == 2
         echo = json.loads((tmp_path / "manifest_echo.json").read_text())
         assert echo["base_seed"] == 11
+        env = echo["environment"]
+        assert set(env) == {"sparselowrank", "python", "numpy", "scipy", "blas",
+                            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "cpu_count",
+                            "worker_env"}
+        assert env["numpy"] == np.__version__
+        assert env["blas"]["name"] and env["blas"]["version"]
+        assert env["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["worker_env"] is None  # serial run: the caller's BLAS setting
 
     def test_irls_succeeds_at_generous_oversampling(self, tmp_path):
         man = tiny_manifest(tmp_path, m_factors=[4.0], trials=3)
@@ -126,8 +153,13 @@ class TestPhaseGrid:
             assert a == b
 
     def test_thread_count_does_not_change_results(self, tmp_path):
+        environ = dict(os.environ)
         seq = run_phase_grid(tiny_manifest(tmp_path / "seq", threads=1))
         par = run_phase_grid(tiny_manifest(tmp_path / "par", threads=2))
+        # workers get one BLAS thread each; the caller's environment is restored
+        assert dict(os.environ) == environ
+        echo = json.loads((tmp_path / "par" / "manifest_echo.json").read_text())
+        assert echo["environment"]["worker_env"]["OPENBLAS_NUM_THREADS"] == "1"
         for alg in seq:
             for a, b in zip(seq[alg], par[alg]):
                 assert (a.s, a.m, a.success_count, a.trials) == \

@@ -87,7 +87,15 @@ class TestIht:
 
     def test_config_validation(self):
         op = gaussian_dense(8, 4, 10, 0)
-        with pytest.raises(ValueError):
-            run_iht(op, np.zeros(10), IhtConfig(r=5, s=4))
-        with pytest.raises(ValueError):
-            run_iht(op, np.zeros(10), IhtConfig(r=1, s=4, step_size=-1.0))
+        for bad in (
+            IhtConfig(r=5, s=4),
+            IhtConfig(r=1, s=4, step_size=-1.0),
+            IhtConfig(r=1, s=4, max_iter=0),
+            IhtConfig(r=1, s=4, max_iter=-3),
+            IhtConfig(r=1, s=4, tol=-1e-10),
+            IhtConfig(r=1, s=4, tol=np.nan),
+        ):
+            with pytest.raises(ValueError):
+                run_iht(op, np.zeros(10), bad)
+        # a zero tolerance is legal: the run stops only at max_iter or on divergence
+        IhtConfig(r=1, s=4, tol=0.0).validate(8, 4)

@@ -160,10 +160,18 @@ class TestDriver:
 
     def test_config_validation(self):
         op = gaussian_dense(8, 4, 10, 0)
-        with pytest.raises(ValueError):
-            run_irls(op, np.zeros(10), IrlsConfig(r_tilde=5, s_tilde=4))
-        with pytest.raises(ValueError):
-            run_irls(op, np.zeros(10), IrlsConfig(r_tilde=1, s_tilde=9))
+        for bad in (
+            IrlsConfig(r_tilde=5, s_tilde=4),
+            IrlsConfig(r_tilde=1, s_tilde=9),
+            IrlsConfig(r_tilde=1, s_tilde=4, max_iter=0),
+            IrlsConfig(r_tilde=1, s_tilde=4, max_iter=-3),
+            IrlsConfig(r_tilde=1, s_tilde=4, tol_rel_change=-1e-10),
+            IrlsConfig(r_tilde=1, s_tilde=4, tol_rel_change=np.nan),
+        ):
+            with pytest.raises(ValueError):
+                run_irls(op, np.zeros(10), bad)
+        # a zero tolerance is legal: the run stops at max_iter or at the floors
+        IrlsConfig(r_tilde=1, s_tilde=4, tol_rel_change=0.0).validate(8, 4)
 
     def test_one_svd_per_iteration(self, monkeypatch):
         # the smoothing update, the weight rebuild and the objective trace all
@@ -249,8 +257,10 @@ class TestTraceCsv:
     def test_header_and_roundtrip(self):
         gt, op, y = desk_instance(10, n1=16, n2=8, r=1, s=4)
         res = run_irls(op, y, IrlsConfig(r_tilde=1, s_tilde=4), ground_truth=gt)
-        text = res.trace.to_csv_string()
-        rows = list(csv.reader(io.StringIO(text)))
+        buf = io.StringIO()
+        res.trace.write_csv(buf)
+        buf.seek(0)
+        rows = list(csv.reader(buf))
         assert rows[0] == TRACE_COLUMNS
         assert len(rows) == len(res.trace.records) + 1
         k_col = [int(r[0]) for r in rows[1:]]

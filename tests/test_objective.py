@@ -9,7 +9,6 @@ from sparselowrank.objective import (
     f_lowrank,
     f_sparse,
     f_tau,
-    f_tau_prime,
     f_total,
     grad_f_lowrank,
     grad_f_sparse,
@@ -45,7 +44,7 @@ class TestScalarKernel:
         with pytest.raises(ValueError):
             f_tau(1.0, 0.0)
         with pytest.raises(ValueError):
-            f_tau_prime(1.0, -1.0)
+            f_tau(1.0, -1.0)
 
     def test_vectorised_matches_loop(self):
         def loop(values, tau):
@@ -58,23 +57,6 @@ class TestScalarKernel:
             vals = f_tau(t, tau)
             assert vals.shape == t.shape
             assert np.allclose(vals, loop(t, tau), rtol=4 * np.finfo(float).eps, atol=0)
-
-    def test_derivative_identity_regime(self):
-        assert f_tau_prime(0.0, 1.0) == 0.0
-        assert f_tau_prime(0.3, 1.0) == 0.3
-        assert f_tau_prime(-0.7, 2.0) == -0.7
-
-    def test_derivative_matches_finite_difference(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            t = float(rng.uniform(-4, 4))
-            tau = float(rng.uniform(0.1, 2.0))
-            if abs(abs(t) - tau) < 1e-3:  # kink in the second derivative
-                continue
-            h = 1e-6 * max(1.0, abs(t))
-            fd = (f_tau(t + h, tau) - f_tau(t - h, tau)) / (2 * h)
-            exact = f_tau_prime(t, tau)
-            assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
 class TestObjectives:

@@ -3,9 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from sparselowrank.weights import (
-    IterationLimitError,
     apply_w,
-    apply_w_inv,
     apply_w_lowrank,
     apply_w_sparse,
     build_weight,
@@ -36,7 +34,6 @@ class TestBuildWeight:
         ws = identity_weight(5, 4)
         Z = np.random.default_rng(2).standard_normal((5, 4))
         assert np.allclose(apply_w(ws, Z), 2 * Z, atol=1e-14)
-        assert np.allclose(apply_w_inv(ws, Z), Z / 2, atol=1e-14)
 
     def test_diagonal_hand_case(self):
         # X = diag(4, 1), eps = 2: one retained triplet, spectral coefficient
@@ -150,42 +147,6 @@ class TestApply:
             Z = rng.standard_normal((8, 6))
             rayleigh = np.sum(Z * apply_w(ws, Z)) / np.sum(Z * Z)
             assert rayleigh >= bound - 1e-12
-
-
-class TestInverse:
-    def test_round_trip_smw(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            X, ws = random_state(rng)
-            Z = rng.standard_normal((8, 6))
-            out = apply_w_inv(ws, Z, tol=1e-10)
-            assert np.linalg.norm(apply_w(ws, out) - Z) <= 1e-10 * np.linalg.norm(Z)
-
-    def test_matches_dense_inverse(self):
-        rng = np.random.default_rng(15)
-        for _ in range(5):
-            X, ws = random_state(rng, n1=7, n2=5)
-            Wmat = dense_weight_matrix(ws, apply_w)
-            Z = rng.standard_normal((7, 5))
-            expected = sla.solve(Wmat, Z.ravel(), assume_a="pos").reshape(7, 5)
-            got = apply_w_inv(ws, Z, tol=1e-12)
-            assert np.linalg.norm(got - expected) <= 1e-8 * np.linalg.norm(expected)
-
-    def test_iteration_limit_surfaces(self):
-        # no float64 round trip reaches a target this far below round-off;
-        # the miss is raised with the residual achieved
-        rng = np.random.default_rng(16)
-        gt_like = rng.standard_normal((12, 8))
-        ws = build_weight(gt_like, 1e-9, 1e-9)
-        Z = rng.standard_normal((12, 8))
-        with pytest.raises(IterationLimitError) as err:
-            apply_w_inv(ws, Z, tol=1e-20)
-        assert err.value.residual > 1e-20
-
-    def test_dimension_guard(self):
-        ws = identity_weight(4, 3)
-        with pytest.raises(ValueError):
-            apply_w_inv(ws, np.ones((3, 4)))
 
 
 class TestScalingInvariance:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselowrank.core import generate_ground_truth
 from sparselowrank.measurement import MatrixOperator, fourier_rank_one, gaussian_dense
@@ -70,6 +72,38 @@ class TestAgainstDenseOracle:
         op = gaussian_dense(60, 50, 10, 0)
         with pytest.raises(ValueError):
             dense_oracle_solve(op, np.zeros(10), identity_weight(60, 50))
+
+
+@st.composite
+def weighted_instance(draw, regime):
+    """A small dense WLS instance whose weight state has active rows only
+    (r_k = 0), retained triplets only (s_k = 0), or both."""
+    n1 = draw(st.integers(3, 8))
+    n2 = draw(st.integers(2, 6))
+    m = draw(st.integers(1, n1 * n2 - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n1, n2))
+    eps = draw(st.floats(0.2, 0.9)) * np.linalg.norm(X, 2)
+    delta = draw(st.floats(0.2, 0.9)) * np.max(np.linalg.norm(X, axis=1))
+    ws = build_weight(X, np.inf if regime == "rows" else eps,
+                      np.inf if regime == "spectrum" else delta)
+    op = gaussian_dense(n1, n2, m, rng.integers(2**32))
+    return op, rng.standard_normal(m), ws
+
+
+class TestSmwCoreProperty:
+    # each regime takes its own branch: the r_k = 0 SMW core, no SMW block
+    # at all, and the full core with its cross term
+    @pytest.mark.parametrize("regime", ["rows", "spectrum", "both"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_oracle(self, regime, data):
+        op, y, ws = data.draw(weighted_instance(regime))
+        assert (ws.r_k > 0) == (regime != "rows")
+        assert (ws.s_k > 0) == (regime != "spectrum")
+        sol = solve_wls(op, y, ws)
+        X_oracle = dense_oracle_solve(op, y, ws)
+        assert np.linalg.norm(sol.X - X_oracle) <= 1e-8 * np.linalg.norm(X_oracle)
 
 
 class TestOptimalityConditions:
