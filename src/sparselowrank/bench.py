@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import multiprocessing
+import numbers
 import os
 import platform
 import time
@@ -56,6 +57,10 @@ def info_limit(r: int, s: int, n2: int) -> int:
     return r * (s + n2 - r)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentManifest:
     kind: str
@@ -88,9 +93,19 @@ class ExperimentManifest:
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ManifestError(f"unknown algorithm {alg!r}")
+        for name in ("n1", "n2", "r", "trials", "threads", "irls_max_iter", "iht_max_iter",
+                     "base_seed"):
+            if not _is_int(getattr(self, name)):
+                raise ManifestError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("s_values", "m_values"):
+            values = getattr(self, name)
+            if values is not None and not all(_is_int(v) for v in values):
+                raise ManifestError(f"{name} entries must be integers, got {values!r}")
         for name in ("trials", "threads", "irls_max_iter", "iht_max_iter"):
             if getattr(self, name) < 1:
                 raise ManifestError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.base_seed < 0:
+            raise ManifestError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.tol >= 0:
             raise ManifestError(f"tol must be >= 0, got {self.tol}")
         if not self.s_values:

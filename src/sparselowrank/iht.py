@@ -134,6 +134,7 @@ def run_iht(
             f_lowrank=math.nan, f_sparse=math.nan, f_total=math.nan,
             rel_error=err, wall_time_s=time.perf_counter() - t0,
             eps_floored=False, delta_floored=False,
+            constraint_residual=math.nan, regularized=False,
         ))
 
         if gauge > DIVERGENCE_FACTOR * baseline:

@@ -87,12 +87,14 @@ class IterateRecord:
     wall_time_s: float
     eps_floored: bool
     delta_floored: bool
+    constraint_residual: float  # of the WLS step; nan for IHT
+    regularized: bool           # the WLS step needed a rank-deficiency shift
 
 
 TRACE_COLUMNS = [
     "k", "eps", "delta", "r_k", "s_k", "rel_change",
     "f_lowrank", "f_sparse", "f_total", "rel_error", "wall_time_s",
-    "eps_floored", "delta_floored",
+    "eps_floored", "delta_floored", "constraint_residual", "regularized",
 ]
 
 
@@ -145,6 +147,7 @@ class IterateTrace:
                 _fmt(r.f_lowrank), _fmt(r.f_sparse), _fmt(r.f_total),
                 _fmt(r.rel_error), _fmt(r.wall_time_s),
                 int(r.eps_floored), int(r.delta_floored),
+                _fmt(r.constraint_residual), int(r.regularized),
             ])
 
 
@@ -245,6 +248,7 @@ def run_irls(
             f_total=flr + fsp, rel_error=err,
             wall_time_s=time.perf_counter() - t0,
             eps_floored=eps_fl, delta_floored=delta_fl,
+            constraint_residual=sol.constraint_residual, regularized=sol.regularized,
         ))
 
         if rel_change < config.tol_rel_change:

@@ -54,6 +54,7 @@ class MeasurementOperator:
         self.m = int(m)
         self.seed = seed
         self._matrix = None
+        self._system = None
 
     @property
     def dims(self):
@@ -91,6 +92,23 @@ class MeasurementOperator:
                 )
             self._matrix = self._materialize()
         return self._matrix
+
+    def independent_rows(self):
+        """Indices of output rows that are linearly independent and determine
+        the rest for every real input, or None when all m rows are used."""
+        return None
+
+    def system_matrix(self):
+        """The rows of ``as_matrix`` named by ``independent_rows`` and their
+        Gram matrix, both cached; a weighted least squares system over these
+        rows has the same solutions as over all m."""
+        if self._system is None:
+            A = self.as_matrix()
+            rows = self.independent_rows()
+            if rows is not None:
+                A = A[rows]
+            self._system = (A, A @ A.T)
+        return self._system
 
     def _materialize(self) -> np.ndarray:
         N = self.n1 * self.n2
@@ -178,7 +196,8 @@ class FourierRankOneOperator(MeasurementOperator):
     the complex measurements are c_j = (FA)_{j,:} X ((FB)_{j,:})'. The real
     operator returns [Re c; Im c] scaled by 1/sqrt(m_c), so its output
     dimension m equals 2 m_c. Since X is real, c has Hermitian symmetry and
-    the real operator has rank about m_c.
+    the real operator has rank at most m_c; ``independent_rows`` names m_c
+    rows that carry all of it.
     """
 
     kind = "fourier"
@@ -219,6 +238,12 @@ class FourierRankOneOperator(MeasurementOperator):
     def _materialize(self):
         rows = (self.fa[:, :, None] * self.fb[:, None, :]).reshape(self.m_complex, -1)
         return self.scale * np.vstack([rows.real, rows.imag])
+
+    def independent_rows(self):
+        """Re c_0 .. Re c_{floor(m_c/2)} and Im c_1 .. Im c_{ceil(m_c/2)-1}:
+        m_c rows, since c_{m_c-j} = conj(c_j) and Im c_0 = 0 for real X."""
+        mc = self.m_complex
+        return np.concatenate([np.arange(mc // 2 + 1), mc + np.arange(1, (mc + 1) // 2)])
 
 
 class MatrixOperator(MeasurementOperator):

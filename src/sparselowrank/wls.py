@@ -5,11 +5,31 @@ The minimizer is characterized by feasibility together with W(X) being
 orthogonal to the kernel of A, and can be written through the dual system
 (A W^{-1} A*) lambda = y with X = W^{-1}(A*(lambda)).
 
-The solve eliminates W^{-1} through its Sherman-Morrison-Woodbury split and
-solves one symmetric dense system of size m + s_k n2 built from well-scaled
-blocks. This stays accurate as the smoothing parameters (and with them the
+The solve eliminates W^{-1} through its Sherman-Morrison-Woodbury split
+W = B2 + (row correction), B2 = (spectral part) + Id, and solves one
+symmetric dense system of size m + s_k n2 built from well-scaled blocks.
+This stays accurate as the smoothing parameters (and with them the
 smallest eigenvalues of W) approach zero, where the dual system itself
 becomes too ill-conditioned to solve in floating point.
+
+The blocks are assembled in the tangent space of the rank-r_k iterate. With
+k1 = 1/(1+d) and K11 = 1/(1+d d'), both in (1/2, 1),
+
+    B2^{-1}Z = Z/2 + U diag(k1-1/2) U'Z P_V_perp + P_U_perp Z V diag(k1-1/2) V'
+               + U ((K11-1/2) o U'ZV) V',
+
+so the Gram block A B2^{-1}(A)' is A A'/2 plus the Grams of the blocks
+U'A_j P_V_perp, P_U_perp A_j V and U'A_j V, scaled by the square roots of
+those coefficients, and the cross block is the active rows of the same
+expression. A A' is cached on the operator (m^2 floats), so an iteration
+costs O(m^2 r_k (n1 + n2 + r_k)) instead of O(m^2 n1 n2).
+
+The system uses only the rows ``op.independent_rows()`` names (all of them
+by default). For the Fourier ensemble these are m_c of its 2 m_c real rows,
+which determine the others for every real X, so its Gram block is not
+singular. The feasibility residual is always measured with the full
+operator against the full data, so data that the dropped rows contradict
+shows there.
 """
 
 from __future__ import annotations
@@ -35,15 +55,41 @@ class WlsSolution:
     regularized: bool                # a rank-deficiency shift was applied
 
 
-def _solve_direct(Amat, y, ws: WeightState, n1, n2):
-    """Augmented SMW solve; returns (X, regularized_flag)."""
-    m = Amat.shape[0]
+def _assemble(A, gram, ws: WeightState, n1, n2):
+    """Gram block G0 = A B2^{-1}(A)' and cross block N2 (the active rows of
+    each B2^{-1}(A_j)), from the tangent-space blocks of the rows A_j."""
+    m = A.shape[0]
+    A3 = A.reshape(m, n1, n2)
     act = ws.active_rows
-    B2iA = apply_b2_inv(ws, Amat.reshape(m, n1, n2)).reshape(m, n1 * n2)
-    G0 = Amat @ B2iA.T
+    G0 = gram / 2.0
+    N2 = A3[:, act, :] / 2.0
+    if ws.r_k:
+        U, V = ws.U, ws.V
+        K11, k1 = ws._b2_coeffs
+        c, C = k1 - 0.5, K11 - 0.5
+        AV = (A.reshape(m * n1, n2) @ V).reshape(m, n1, ws.r_k)
+        M = U.T @ AV                            # U'A_j V
+        L = U.T @ A3 - M @ V.T                  # U'A_j P_V_perp
+        R = AV - U @ M                          # P_U_perp A_j V
+        sc = np.sqrt(c)
+        W = np.concatenate([
+            (L * sc[:, None]).reshape(m, -1),
+            (R * sc).reshape(m, -1),
+            (M * np.sqrt(C)).reshape(m, -1),
+        ], axis=1)
+        G0 += W @ W.T
+        if len(act):
+            N2 += U[act] @ (c[:, None] * L + (C * M) @ V.T) + (R[:, act] * c) @ V.T
+    return G0, N2.reshape(m, -1)
+
+
+def _solve_direct(A, gram, y, ws: WeightState, n1, n2):
+    """Augmented SMW solve; returns (X, regularized_flag)."""
+    m = A.shape[0]
+    act = ws.active_rows
+    G0, N2 = _assemble(A, gram, ws, n1, n2)
     if len(act):
         q = len(act) * n2
-        N2 = B2iA.reshape(m, n1, n2)[:, act, :].reshape(m, q)
         K = np.empty((m + q, m + q))
         K[:m, :m] = G0
         K[:m, m:] = N2
@@ -69,8 +115,8 @@ def _solve_direct(Amat, y, ws: WeightState, n1, n2):
     sol = attempt(K)
     regularized = False
     if sol is None:
-        # consistent but rank-deficient ensemble (e.g. the Hermitian
-        # redundancy of Fourier measurements): shift the Gram block
+        # guard for operators whose rows are dependent (an injected matrix):
+        # shift the Gram block
         tau = 1e-12 * np.trace(G0) / m
         K = K.copy()
         K[np.arange(m), np.arange(m)] += tau
@@ -79,9 +125,8 @@ def _solve_direct(Amat, y, ws: WeightState, n1, n2):
         if sol is None:
             raise sla.LinAlgError("weighted least squares system is singular")
     lam = sol[:m]
-    M = (Amat.T @ lam).reshape(n1, n2)
+    M = (A.T @ lam).reshape(n1, n2)
     if len(act):
-        M = M.copy()
         M[act] += sol[m:].reshape(len(act), n2)
     return apply_b2_inv(ws, M), regularized
 
@@ -94,7 +139,9 @@ def solve_wls(op: MeasurementOperator, y: np.ndarray, ws: WeightState) -> WlsSol
     if (ws.n1, ws.n2) != (n1, n2):
         raise ValueError("weight state dimensions disagree with the operator")
 
-    X, regularized = _solve_direct(op.as_matrix(), y, ws, n1, n2)
+    A, gram = op.system_matrix()
+    rows = op.independent_rows()
+    X, regularized = _solve_direct(A, gram, y if rows is None else y[rows], ws, n1, n2)
     y_norm = np.linalg.norm(y)
     res = np.linalg.norm(op.apply(X) - y) / y_norm if y_norm > 0 else 0.0
     return WlsSolution(X=X, constraint_residual=float(res), regularized=regularized)

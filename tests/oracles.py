@@ -1,7 +1,8 @@
 """Independent brute-force references used by the tests: finite-difference
 gradients, explicit kernel bases, the full-basis Hadamard form of the
-spectral weight, dense operator materializations, and a dense KKT solve of
-the weighted least squares step.
+spectral weight, dense operator materializations, a dense KKT solve of
+the weighted least squares step, and the assembly of that step's blocks
+from the full stack of B2^{-1} applied to every measurement matrix.
 
 These deliberately avoid the implicit formulas used by the production code:
 orthogonal complements are materialized, gradients are differenced, kernels
@@ -11,7 +12,7 @@ come from a full SVD of the measurement matrix.
 import numpy as np
 import scipy.linalg as sla
 
-from sparselowrank.weights import apply_w
+from sparselowrank.weights import apply_b2_inv, apply_w
 
 #: size guards so a misconfigured test cannot silently burn minutes
 MAX_DENSE_DIM = 2500
@@ -108,6 +109,15 @@ def dense_oracle_solve(op, y, ws):
     except sla.LinAlgError:
         sol, *_ = sla.lstsq(K, rhs)
     return sol[:N].reshape(op.n1, op.n2)
+
+
+def stack_assembly_oracle(A, ws):
+    """Gram block G0 = A vec(B2^{-1}A_j)' and cross block N2 (the active rows
+    of every B2^{-1}A_j) of the weighted least squares system, from the full
+    m x n1 x n2 stack of B2^{-1} applied to each measurement matrix."""
+    m = A.shape[0]
+    B2iA = apply_b2_inv(ws, A.reshape(m, ws.n1, ws.n2))
+    return A @ B2iA.reshape(m, -1).T, B2iA[:, ws.active_rows, :].reshape(m, -1)
 
 
 def kernel_orthogonality(ws, X, kernel_dirs):

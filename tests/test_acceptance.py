@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from sparselowrank.bench import ExperimentManifest, info_limit, run_phase_grid
-from sparselowrank.core import generate_ground_truth, rel_frobenius_error, row_norms
-from sparselowrank.iht import IhtConfig, run_iht
+from sparselowrank.core import generate_ground_truth, row_norms
 from sparselowrank.irls import IrlsConfig, fit_quadratic_rate, run_irls
 from sparselowrank.measurement import (
     MatrixOperator,
@@ -29,12 +28,7 @@ from sparselowrank.objective import (
     q_lowrank,
     q_sparse,
 )
-from sparselowrank.weights import (
-    apply_w,
-    apply_w_lowrank,
-    apply_w_sparse,
-    build_weight,
-)
+from sparselowrank.weights import apply_w_lowrank, apply_w_sparse, build_weight
 from sparselowrank.wls import solve_wls
 
 from oracles import (

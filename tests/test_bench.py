@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sparselowrank.bench import (
-    CellResult,
     ExperimentManifest,
     ManifestError,
     info_limit,
@@ -83,11 +82,22 @@ class TestManifest:
         {"irls_max_iter": 0},
         {"iht_max_iter": 0},
         {"tol": -1e-10},
+        {"base_seed": -1},
     ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items() if v is not None))
     def test_rejects_out_of_range_values(self, overrides):
         # each would otherwise reach the trials: as an error in every trial,
         # a silent m=1 or serial run, or a failed first iterate
         with pytest.raises(ManifestError):
+            tiny_manifest("x", **overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"n1": 16.0}, {"n2": 6.5}, {"r": True}, {"trials": 1.5}, {"threads": "2"},
+        {"irls_max_iter": 40.0}, {"iht_max_iter": None}, {"s_values": [3.5]},
+        {"s_values": [3, 4.0]}, {"m_values": [40, 20.5], "m_factors": None},
+        {"base_seed": 1.5},
+    ], ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items() if k != "m_factors"))
+    def test_rejects_non_integer_counts(self, overrides):
+        with pytest.raises(ManifestError, match="integer"):
             tiny_manifest("x", **overrides)
 
     def test_model_orders(self):
@@ -241,6 +251,26 @@ class TestCli:
         assert code == 0
         assert (out / "phase_grid_irls.csv").exists()
         assert not (out / "phase_grid_iht.csv").exists()
+
+    def write_raw(self, tmp_path, **overrides):
+        # the manifest as a caller writes it, without the constructor's checks
+        data = {"kind": "phase-grid", "n1": 16, "n2": 6, "r": 1, "s_values": [3],
+                "m_factors": [2.0], "trials": 1, "out_dir": str(tmp_path / "out")}
+        data.update(overrides)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_fractional_row_sparsity_is_exit_two(self, tmp_path):
+        # once ran every trial into an error and still exited 0
+        path = self.write_raw(tmp_path, s_values=[3.5])
+        assert main(["phase-grid", "--manifest", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_fractional_trial_count_is_exit_two(self, tmp_path):
+        # once passed the checks and crashed in the grid with exit 3
+        path = self.write_raw(tmp_path, trials=1.5)
+        assert main(["phase-grid", "--manifest", str(path)]) == 2
 
     def test_missing_manifest_is_exit_two(self, tmp_path):
         assert main(["phase-grid", "--manifest", str(tmp_path / "nope.json")]) == 2

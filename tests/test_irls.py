@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from sparselowrank.bench import info_limit
-from sparselowrank.core import generate_ground_truth, rel_frobenius_error
+from sparselowrank.core import generate_ground_truth
 from sparselowrank.iht import IhtConfig, run_iht
 from sparselowrank.irls import (
     IrlsConfig,
@@ -153,10 +153,12 @@ class TestDriver:
             res = run_irls(op, op.apply(gt.X), IrlsConfig(r_tilde=r, s_tilde=s),
                            ground_truth=gt)
             assert res.final_error < 1e-6
-        op = fourier_rank_one(n1, n2, m, 77)  # 2m real rows, rank about m
+        op = fourier_rank_one(n1, n2, m, 77)  # 2m real rows of rank m
         res = run_irls(op, op.apply(gt.X), IrlsConfig(r_tilde=r, s_tilde=s),
                        ground_truth=gt)
         assert res.final_error < 1e-6
+        # the WLS steps run on the m independent rows, without a shift
+        assert not any(rec.regularized for rec in res.trace.records)
 
     def test_config_validation(self):
         op = gaussian_dense(8, 4, 10, 0)
@@ -238,6 +240,7 @@ class TestObjectiveIncrease:
                 k=k, eps=1.0, delta=1.0, r_k=1, s_k=1, rel_change=1.0,
                 f_lowrank=f, f_sparse=0.0, f_total=f, rel_error=math.nan,
                 wall_time_s=0.0, eps_floored=False, delta_floored=False,
+                constraint_residual=0.0, regularized=False,
             ))
         return trace
 
@@ -262,11 +265,26 @@ class TestTraceCsv:
         buf.seek(0)
         rows = list(csv.reader(buf))
         assert rows[0] == TRACE_COLUMNS
+        assert rows[0][-2:] == ["constraint_residual", "regularized"]
         assert len(rows) == len(res.trace.records) + 1
         k_col = [int(r[0]) for r in rows[1:]]
         assert k_col == list(range(1, len(res.trace.records) + 1))
         # floats round-trip at full precision
         assert float(rows[1][5]) == res.trace.records[0].rel_change
+        # the WLS diagnostics of every step are kept
+        for row, rec in zip(rows[1:], res.trace.records):
+            assert float(row[-2]) == rec.constraint_residual <= 1e-6
+            assert row[-1] == "0"
+
+    def test_iht_rows_have_no_wls_diagnostics(self):
+        gt, op, y = desk_instance(10, n1=16, n2=8, r=1, s=4)
+        res = run_iht(op, y, IhtConfig(r=1, s=4, max_iter=5), ground_truth=gt)
+        buf = io.StringIO()
+        res.trace.write_csv(buf)
+        buf.seek(0)
+        rows = list(csv.reader(buf))
+        assert rows[0] == TRACE_COLUMNS
+        assert all(row[-2:] == ["nan", "0"] for row in rows[1:])
 
     def test_write_to_path(self, tmp_path):
         gt, op, y = desk_instance(11, n1=16, n2=8, r=1, s=4)

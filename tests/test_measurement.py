@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sparselowrank.measurement import (
-    DenseGaussianOperator,
     FourierRankOneOperator,
     MatrixOperator,
     RankOneGaussianOperator,

@@ -5,11 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparselowrank.core import generate_ground_truth
-from sparselowrank.measurement import MatrixOperator, fourier_rank_one, gaussian_dense
+from sparselowrank.measurement import (
+    MatrixOperator,
+    fourier_rank_one,
+    gaussian_dense,
+    gaussian_rank_one,
+)
 from sparselowrank.weights import apply_w, build_weight, identity_weight
-from sparselowrank.wls import solve_wls
+from sparselowrank.wls import _assemble, solve_wls
 
-from oracles import dense_oracle_solve, kernel_basis, kernel_orthogonality
+from oracles import (
+    dense_oracle_solve,
+    kernel_basis,
+    kernel_orthogonality,
+    stack_assembly_oracle,
+)
 
 
 def moderate_state(rng, n1, n2):
@@ -75,9 +85,10 @@ class TestAgainstDenseOracle:
 
 
 @st.composite
-def weighted_instance(draw, regime):
-    """A small dense WLS instance whose weight state has active rows only
-    (r_k = 0), retained triplets only (s_k = 0), or both."""
+def weighted_instance(draw, regime, factory=gaussian_dense):
+    """A small WLS instance whose weight state has active rows only
+    (r_k = 0), retained triplets only (s_k = 0), or both. ``factory`` builds
+    the operator; for Fourier, m counts complex measurements."""
     n1 = draw(st.integers(3, 8))
     n2 = draw(st.integers(2, 6))
     m = draw(st.integers(1, n1 * n2 - 1))
@@ -87,8 +98,30 @@ def weighted_instance(draw, regime):
     delta = draw(st.floats(0.2, 0.9)) * np.max(np.linalg.norm(X, axis=1))
     ws = build_weight(X, np.inf if regime == "rows" else eps,
                       np.inf if regime == "spectrum" else delta)
-    op = gaussian_dense(n1, n2, m, rng.integers(2**32))
-    return op, rng.standard_normal(m), ws
+    op = factory(n1, n2, m, rng.integers(2**32))
+    return op, rng.standard_normal(op.m), ws
+
+
+def rel_diff(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestTangentAssembly:
+    # the tangent-space (G0, N2) against the stack product over the same
+    # rows, in every weight regime and on every ensemble
+    @pytest.mark.parametrize("factory", [gaussian_dense, gaussian_rank_one, fourier_rank_one])
+    @pytest.mark.parametrize("regime", ["rows", "spectrum", "both"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_stack_oracle(self, regime, factory, data):
+        op, _, ws = data.draw(weighted_instance(regime, factory))
+        A, gram = op.system_matrix()
+        G0, N2 = _assemble(A, gram, ws, op.n1, op.n2)
+        G0_oracle, N2_oracle = stack_assembly_oracle(A, ws)
+        assert rel_diff(G0, G0_oracle) <= 1e-12
+        assert N2.shape == N2_oracle.shape == (A.shape[0], ws.s_k * op.n2)
+        if ws.s_k:
+            assert rel_diff(N2, N2_oracle) <= 1e-12
 
 
 class TestSmwCoreProperty:
@@ -127,6 +160,44 @@ class TestOptimalityConditions:
         Amat = op.as_matrix()
         min_norm = (Amat.T @ sla.solve(Amat @ Amat.T, y, assume_a="pos"))
         assert np.linalg.norm(sol.X.ravel() - min_norm) <= 1e-9
+
+
+class TestFourierRows:
+    @pytest.mark.parametrize("parity", [0, 1])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_independent_rows_have_rank_mc(self, parity, data):
+        n1 = data.draw(st.integers(2, 8))
+        n2 = data.draw(st.integers(2, 6))
+        mc = 2 * data.draw(st.integers(1, (n1 * n2 - parity) // 2)) + parity
+        op = fourier_rank_one(n1, n2, mc, data.draw(st.integers(0, 2**32 - 1)))
+        rows = op.independent_rows()
+        assert len(rows) == len(set(rows)) == mc
+        A = op.as_matrix()
+        # the chosen rows are independent and the dropped ones add nothing
+        assert np.linalg.matrix_rank(A[rows]) == np.linalg.matrix_rank(A) == mc
+
+    @pytest.mark.parametrize("regime", ["rows", "spectrum", "both"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_solve_matches_all_row_oracle(self, regime, data):
+        op, _, ws = data.draw(weighted_instance(regime, fourier_rank_one))
+        gt = generate_ground_truth(op.n1, op.n2, 1, 2, 0)
+        y = op.apply(gt.X)
+        sol = solve_wls(op, y, ws)
+        assert not sol.regularized
+        assert sol.constraint_residual <= 1e-10
+        assert rel_diff(sol.X, dense_oracle_solve(op, y, ws)) <= 1e-8
+
+    def test_data_the_dropped_rows_contradict_shows_in_residual(self):
+        # Im c_0 is zero for every real X; data that says otherwise cannot be
+        # met, and the residual over all rows reports it
+        gt = generate_ground_truth(10, 6, 1, 4, 3)
+        op = fourier_rank_one(10, 6, 20, 9)
+        y = op.apply(gt.X)
+        y[op.m_complex] += 0.1 * np.linalg.norm(y)
+        sol = solve_wls(op, y, identity_weight(10, 6))
+        assert sol.constraint_residual > 1e-6
 
 
 class TestRankDeficiency:
